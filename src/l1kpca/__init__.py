@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateComponent, InstanceTooLarge, InvalidData, L1KpcaError,
                      NonConvergence, NumericalFailure, ParseError, SchemaError)
-from .kernel import (Dataset, GramMatrix, KernelSpec, cross_gram, destandardize, gram,
-                     kernel_eval, standardize, standardize_with)
+from .kernel import (Dataset, GramMatrix, KernelSpec, cross_gram, gram, kernel_eval,
+                     standardize, standardize_with)
 from .l1 import (ComponentModel, ConvergenceReport, FitOptions, KpcaModel, deflate, fit,
                  fit_component, sign_update, train_scores, transform)
 from .l2 import EigenModel, l2_fit, l2_scores
@@ -28,7 +28,7 @@ __all__ = [
     "L1KpcaError", "InvalidData", "ParseError", "SchemaError", "DegenerateComponent",
     "NonConvergence", "NumericalFailure", "InstanceTooLarge",
     "Dataset", "KernelSpec", "GramMatrix", "standardize", "standardize_with",
-    "destandardize", "kernel_eval", "gram", "cross_gram",
+    "kernel_eval", "gram", "cross_gram",
     "FitOptions", "ConvergenceReport", "ComponentModel", "KpcaModel", "sign_update",
     "fit_component", "fit", "deflate", "train_scores", "transform",
     "EigenModel", "l2_fit", "l2_scores",

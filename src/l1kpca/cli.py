@@ -17,7 +17,7 @@ from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
 from .errors import (DegenerateComponent, InstanceTooLarge, InvalidData, L1KpcaError,
                      NonConvergence, NumericalFailure, ParseError, SchemaError)
-from .kernel import KernelSpec, cross_gram, destandardize, gram, standardize_with
+from .kernel import KernelSpec, gram, standardize_with
 from .oracle import enumerate_sign_vectors
 
 DATA_ERRORS = (InvalidData, ParseError, SchemaError, InstanceTooLarge)
@@ -121,22 +121,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_dataset(args):
+def _dataset_file(args, path: str) -> model_io.DatasetFile:
     label = args.label_column
     if label is not None and label.lstrip("-").isdigit():
         label = int(label)
-    return model_io.read_csv(model_io.DatasetFile(path=args.data, has_header=args.header,
-                                                  label_column=label))
+    return model_io.DatasetFile(path=path, has_header=args.header, label_column=label)
+
+
+def _read_dataset(args):
+    return model_io.read_csv(_dataset_file(args, args.data))
+
+
+def _spec(kernel: str, sigma: float | None, n_features: int,
+          degree: int = 2, offset: float = 1.0) -> KernelSpec:
+    """Kernel spec from CLI values; the gaussian width defaults to the feature count."""
+    family = {"poly": "polynomial"}.get(kernel, kernel)
+    if family == "gaussian" and sigma is None:
+        sigma = float(n_features)
+    return KernelSpec(family=family, sigma=sigma if sigma is not None else 1.0,
+                      degree=degree, offset=offset)
 
 
 def _kernel_spec(args, n_features: int) -> KernelSpec:
-    family = {"poly": "polynomial"}.get(args.kernel, args.kernel)
-    sigma = args.sigma
-    if args.kernel == "gaussian":
-        if args.auto_sigma_d or sigma is None:
-            sigma = float(n_features)
-    return KernelSpec(family=family, sigma=sigma if sigma is not None else 1.0,
-                      degree=args.degree, offset=args.offset)
+    auto = args.auto_sigma_d and args.kernel == "gaussian"
+    return _spec(args.kernel, None if auto else args.sigma, n_features,
+                 args.degree, args.offset)
 
 
 def _config_echo(args) -> dict:
@@ -170,7 +179,7 @@ def _cmd_fit(args) -> None:
     spec = _kernel_spec(args, data.n_features)
     K = gram(spec, data)
     opts = l1.FitOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
-    model = l1.fit(K, args.components, opts, train=data, keep_chain=False)
+    model = l1.fit(K, args.components, opts, train=data)
     model_io.write_model(model, args.model)
     _emit(args, {"model": args.model,
                  "objectives": [c.objective for c in model.components],
@@ -187,22 +196,13 @@ def _cmd_fit_l2(args) -> None:
     _emit(args, {"model": args.model, "eigenvalues": model.eigenvalues.tolist()})
 
 
-def _scores_for(model, data):
-    if isinstance(model, l1.KpcaModel):
-        return l1.transform(model, data)
-    if model.spec is None or model.train_ref is None:
-        raise InvalidData("model carries no kernel spec / training data; cannot score new samples")
-    return l2.l2_scores(model, cross_gram(model.spec, model.train_ref, data))
-
-
 def _cmd_transform(args) -> None:
     model = model_io.read_model(args.model)
     train = model.train_ref
     if train is None:
         raise InvalidData("model file lacks training data")
-    raw_query = _read_dataset(args)
-    query = standardize_with(destandardize(raw_query), train.column_means, train.column_stds)
-    scores = _scores_for(model, query)
+    raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
+    scores = l1.transform(model, standardize_with(raw, train.column_means, train.column_stds))
     _emit(args, {"scores": scores.tolist()},
           csv_rows=[[repr(float(v)) for v in row] for row in scores],
           csv_header=[f"score_{j}" for j in range(scores.shape[1])])
@@ -214,8 +214,7 @@ def _cmd_detect(args) -> None:
     K = gram(spec, data)
     p = args.components if args.components is not None else min(data.n_samples, data.n_features, 50)
     if args.method == "l1":
-        model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed),
-                       train=data, keep_chain=False)
+        model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed), train=data)
     else:
         model = l2.l2_fit(K, p)
     detector = detect.build_detector(model, data, threshold=args.threshold)
@@ -260,22 +259,13 @@ def _cmd_robustness(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    datasets = {}
-    for path in args.data:
-        label = args.label_column
-        if label is not None and label.lstrip("-").isdigit():
-            label = int(label)
-        datasets[path] = model_io.read_csv(model_io.DatasetFile(
-            path=path, has_header=args.header, label_column=label))
-    specs = []
-    for fam in args.kernels.split(","):
-        fam = fam.strip()
-        family = {"poly": "polynomial"}.get(fam, fam)
-        sigma = args.sigma
-        if family == "gaussian" and sigma is None:
-            sigma = float(next(iter(datasets.values())).n_features)
-        specs.append(KernelSpec(family=family, sigma=sigma if sigma is not None else 1.0))
-    rows = experiments.runtime_bench(datasets, specs, p=args.components, starts=args.starts)
+    datasets = {path: model_io.read_csv(_dataset_file(args, path)) for path in args.data}
+    rows = []
+    for path, data in datasets.items():
+        # sigma defaults to each dataset's own feature count
+        specs = [_spec(fam.strip(), args.sigma, data.n_features) for fam in args.kernels.split(",")]
+        rows += experiments.runtime_bench({path: data}, specs, p=args.components,
+                                          starts=args.starts)
     _emit(args, {"results": rows},
           csv_rows=[[r["dataset"], r["kernel"]["family"], r["method"], r["p"],
                      f"{r['seconds']:.6f}"] for r in rows],
@@ -288,7 +278,7 @@ def _cmd_oracle(args) -> None:
     spec = _kernel_spec(args, data.n_features)
     K = gram(spec, data)
     best = enumerate_sign_vectors(K, limit=args.limit)
-    model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed), keep_chain=False)
+    model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective
     _emit(args, {"oracle_objective": best.best_objective,
                  "solver_objective": solver_obj,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateComponent, InvalidData
 from .kernel import Dataset
-from . import l1, l2
 
 # Score variances this far below the largest are never retained, whatever
 # alpha says; they would divide by numerical zeros.
@@ -123,18 +122,13 @@ def pr_auc(scores, labels) -> PRCurve:
 
 
 def build_detector(model, data: Dataset, threshold: float | None = None) -> DetectionModel:
-    """Detection model from a kernel PCA model fit on this data.
+    """Detection model from an L1 or L2 kernel PCA model fit on this data.
 
     Training scores come straight from the fitted model; per-component
     variances use the population convention (divisor n), which makes the
     L2 path's variances equal eigenvalue/n on mean-zero score columns.
     """
-    if isinstance(model, l1.KpcaModel):
-        Y = l1.training_score_matrix(model)
-    elif isinstance(model, l2.EigenModel):
-        Y = l2.training_score_matrix(model)
-    else:
-        raise InvalidData(f"unsupported model type {type(model).__name__}")
+    Y = model.training_scores()
     if Y.shape[0] != data.n_samples:
         raise InvalidData(f"model was fit on {Y.shape[0]} samples, data has {data.n_samples}")
     variances = Y.var(axis=0)

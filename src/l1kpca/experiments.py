@@ -101,22 +101,14 @@ def total_explained_variation(normal_gram: GramMatrix, model, cross: np.ndarray,
     sum of the normal Gram (what any p orthonormal directions could
     capture at most).
     """
-    if isinstance(model, l1.KpcaModel):
-        available = model.n_components
-    elif isinstance(model, l2.EigenModel):
-        available = model.n_components
-    else:
+    if not isinstance(model, (l1.KpcaModel, l2.EigenModel)):
         raise InvalidData(f"unsupported model type {type(model).__name__}")
+    available = model.n_components
     p = available if p is None else p
     if not 1 <= p <= available:
         raise InvalidData(f"p={p} not in [1, {available}]")
 
-    if isinstance(model, l1.KpcaModel):
-        scores = l1.chain_scores(model.components[:p], cross)
-    else:
-        trimmed = l2.EigenModel(eigenvalues=model.eigenvalues[:p],
-                                coefficient_vectors=model.coefficient_vectors[:, :p])
-        scores = l2.l2_scores(trimmed, cross)
+    scores = model.scores(cross, p)
     numerator = float((scores * scores).sum())
 
     denominator = float(l2.l2_fit(normal_gram, p).eigenvalues.sum())
@@ -135,7 +127,7 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
         K_normal = gram(spec, normal)
         cross = cross_gram(spec, noisy, normal)
 
-        model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed), keep_chain=False)
+        model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed))
         model2 = l2.l2_fit(K_noisy, p)
         tev1.append(total_explained_variation(K_normal, model1, cross, p))
         tev2.append(total_explained_variation(K_normal, model2, cross, p))
@@ -182,7 +174,7 @@ def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,
 
             t0 = time.perf_counter()
             K = gram(spec, data)
-            l1.fit(K, n_comp, l1.FitOptions(starts=starts), keep_chain=False)
+            l1.fit(K, n_comp, l1.FitOptions(starts=starts))
             t1 = time.perf_counter()
             rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l1",
                          "p": n_comp, "seconds": t1 - t0})
@@ -190,7 +182,7 @@ def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,
             t0 = time.perf_counter()
             K = gram(spec, data)
             model = l2.l2_fit(K, n_comp)
-            l2.training_score_matrix(model)
+            model.training_scores()
             t1 = time.perf_counter()
             rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l2",
                          "p": n_comp, "seconds": t1 - t0})

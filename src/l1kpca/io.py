@@ -1,10 +1,11 @@
 """CSV ingestion and JSON model persistence.
 
 CSV files are comma-separated UTF-8, optionally with a header row and a
-label column ({0,1} or {normal,outlier}); features are standardized on
-read. Model files are versioned JSON ("l1kpca/1"); Gram matrices are
-never persisted; they are recomputed from the stored training data and
-kernel spec on read, so files stay O(n*d + n*p) instead of O(n^2).
+label column ({0,1} or {normal,outlier}); read_csv_raw returns the values
+as written and read_csv standardizes them with their own statistics.
+Model files are versioned JSON ("l1kpca/1") holding the training data,
+kernel spec and per-component vectors; Gram matrices are never persisted,
+so files stay O(n*d + n*p) instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidData, ParseError, SchemaError
-from .kernel import Dataset, KernelSpec, gram, standardize
+from .kernel import Dataset, KernelSpec, standardize
 from . import detect, l1, l2
 
 FORMAT_VERSION = "l1kpca/1"
@@ -32,8 +33,8 @@ class DatasetFile:
     label_column: str | int | None = None
 
 
-def read_csv(file: DatasetFile) -> Dataset:
-    """Parse a numeric CSV into a standardized Dataset.
+def read_csv_raw(file: DatasetFile) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse a numeric CSV into (raw feature matrix, labels or None).
 
     Raises ParseError with 1-based line/column positions for ragged rows,
     non-numeric feature cells, or unknown label values.
@@ -90,11 +91,16 @@ def read_csv(file: DatasetFile) -> Dataset:
                 raise ParseError(f"non-numeric feature cell {text!r}", line=i, column=j) from None
         values.append(feats)
 
-    data = standardize(np.asarray(values, dtype=float))
-    if label_idx is None:
-        return data
+    return (np.asarray(values, dtype=float),
+            None if label_idx is None else np.asarray(labels, dtype=int))
+
+
+def read_csv(file: DatasetFile) -> Dataset:
+    """Parse a numeric CSV (see read_csv_raw) into a standardized Dataset."""
+    values, labels = read_csv_raw(file)
+    data = standardize(values)
     return Dataset(values=data.values, column_means=data.column_means,
-                   column_stds=data.column_stds, labels=np.asarray(labels, dtype=int))
+                   column_stds=data.column_stds, labels=labels)
 
 
 def write_csv(path: str, matrix, labels=None, header: list[str] | None = None) -> None:
@@ -173,7 +179,7 @@ def write_model(model, path: str) -> None:
 
 
 def read_model(path: str):
-    """Load a model written by write_model; rebuilds Gram chains from data.
+    """Load a model written by write_model.
 
     Raises SchemaError on a version mismatch and ParseError on files that
     do not parse as JSON (truncation included).
@@ -206,15 +212,7 @@ def read_model(path: str):
                 objective=cp["objective"], report=report,
                 train_scores=np.asarray(cp["train_scores"], dtype=float)))
         train = _dataset_from(payload["train"]) if "train" in payload else None
-        chain = None
-        if train is not None:
-            current = gram(spec, train)
-            chain = [current.entries]
-            for comp in components:
-                current = l1.deflate(current, comp.sign_vector)
-                chain.append(current.entries)
-        return l1.KpcaModel(components=components, kernel_chain=chain,
-                            spec=spec, train_ref=train)
+        return l1.KpcaModel(components=components, spec=spec, train_ref=train)
     if kind == "l2":
         spec = KernelSpec.from_dict(payload["spec"]) if "spec" in payload else None
         train = _dataset_from(payload["train"]) if "train" in payload else None

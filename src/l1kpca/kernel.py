@@ -96,10 +96,6 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.entries).max())
-
 
 def _check_matrix(raw) -> np.ndarray:
     try:
@@ -139,11 +135,6 @@ def standardize_with(raw, means, stds, labels=None) -> Dataset:
         raise InvalidData(f"feature count {mat.shape[1]} does not match recorded statistics ({means.shape[0]})")
     return Dataset(values=(mat - means) / stds, column_means=means.copy(),
                    column_stds=stds.copy(), labels=labels)
-
-
-def destandardize(data: Dataset) -> np.ndarray:
-    """Recover the raw values a Dataset was standardized from."""
-    return data.values * data.column_stds + data.column_means
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:

@@ -12,9 +12,10 @@ kernel matrix is deflated to remove an extracted direction via
 
     K  <-  K - (Kc)(Kc)' / s.
 
-Multiple components come from repeating the solve on the deflated chain;
+Multiple components come from repeating the solve on the deflated kernel;
 out-of-sample scores come from applying the same deflation identity to a
-cross-Gram matrix. The iteration is well-behaved: the iterate norm
+cross-Gram matrix, so a fitted model keeps only sign vectors, objectives
+and training scores. The iteration is well-behaved: the iterate norm
 sqrt(c'Kc) / sum|Kc| never increases, the loop reaches a fixed point in
 finitely many steps, and each step contracts the norm by the ratio
 rho(c) = c'Kc / sum|Kc| <= 1.
@@ -90,21 +91,27 @@ class ComponentModel:
 
 @dataclass
 class KpcaModel:
-    """Ordered components plus the deflated-kernel chain they were fit on.
+    """Ordered components, the kernel they were fit with, and the training data.
 
-    kernel_chain[j] is the matrix component j was fit on; the final entry
-    is the fully deflated kernel (length p+1). The chain is None when fit
-    was told not to retain it; transform() does not need it.
+    Shares training_scores() / scores(cross) with l2.EigenModel, so
+    transform() and detection take either model.
     """
 
     components: list[ComponentModel]
-    kernel_chain: list[np.ndarray] | None
     spec: KernelSpec
     train_ref: Dataset | None = None
 
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    def training_scores(self) -> np.ndarray:
+        """n x p matrix stacking each component's training scores."""
+        return np.column_stack([comp.train_scores for comp in self.components])
+
+    def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
+        """Scores of cross-Gram rows on the first p components (default all)."""
+        return chain_scores(self.components[:p], cross)
 
 
 def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
@@ -139,7 +146,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
 
     All columns share one K @ C product on the first pass; afterwards a
     column that flips only a few signs gets its Kc product patched with a
-    skinny rank-update (K[:, flipped] @ delta) instead of a fresh gemv,
+    skinny rank-update (delta @ K[flipped]) instead of a fresh gemv,
     and heavy-flip columns are recomputed together in one gemm. Each
     column's trajectory is the same as running it alone, so results do
     not depend on batching or scheduling. Returns one result dict per
@@ -193,7 +200,8 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
             prev_s[col] = s
             prev_cross[col] = float(v @ c_next)
             if flipped.size <= incr_cutoff:
-                V[:, col] = v + K[:, flipped] @ (c_next[flipped] - c[flipped])
+                # K is exactly symmetric: gather contiguous rows, not strided columns.
+                V[:, col] = v + (c_next[flipped] - c[flipped]) @ K[flipped]
             else:
                 recompute.append(col)
             C[:, col] = c_next
@@ -305,8 +313,8 @@ def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
 
 
 def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
-        train: Dataset | None = None, keep_chain: bool = True) -> KpcaModel:
-    """Extract p components by multi-start solves on the deflated chain.
+        train: Dataset | None = None) -> KpcaModel:
+    """Extract p components by multi-start solves on the successively deflated kernel.
 
     For each component the solver runs from the deterministic row-sum
     start plus options.starts - 1 seeded random sign vectors (all columns
@@ -322,7 +330,6 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         raise InvalidData(f"component count {p} not in [1, {n}]")
 
     current = gram_matrix
-    chain = [K] if keep_chain else None
     components: list[ComponentModel] = []
     for j in range(p):
         tol_zero, eps_term = opts.resolve(current.entries)
@@ -359,11 +366,8 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         except DegenerateComponent as exc:
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise
-        if keep_chain:
-            chain.append(current.entries)
 
-    return KpcaModel(components=components, kernel_chain=chain,
-                     spec=gram_matrix.spec, train_ref=train)
+    return KpcaModel(components=components, spec=gram_matrix.spec, train_ref=train)
 
 
 def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndarray:
@@ -382,14 +386,11 @@ def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndar
     return np.column_stack(cols)
 
 
-def transform(model: KpcaModel, query: Dataset) -> np.ndarray:
-    """m x p score matrix of query samples (standardized with train stats)."""
-    if model.train_ref is None:
-        raise InvalidData("model carries no training data; cannot score new samples")
-    G = cross_gram(model.spec, model.train_ref, query)
-    return chain_scores(model.components, G)
+def transform(model, query: Dataset) -> np.ndarray:
+    """m x p score matrix of query samples under an L1 or L2 model.
 
-
-def training_score_matrix(model: KpcaModel) -> np.ndarray:
-    """n x p matrix stacking each component's training scores."""
-    return np.column_stack([comp.train_scores for comp in model.components])
+    The query must be standardized with the model's training statistics.
+    """
+    if model.spec is None or model.train_ref is None:
+        raise InvalidData("model carries no kernel spec / training data; cannot score new samples")
+    return model.scores(cross_gram(model.spec, model.train_ref, query))

@@ -23,6 +23,7 @@ class EigenModel:
     n x p matrix of unit-norm eigenvectors, each column's sign fixed by
     making its largest-magnitude entry positive. spec/train_ref are
     optional attachments for persistence and out-of-sample scoring.
+    Shares training_scores() / scores(cross) with l1.KpcaModel.
     """
 
     eigenvalues: np.ndarray
@@ -33,6 +34,15 @@ class EigenModel:
     @property
     def n_components(self) -> int:
         return self.eigenvalues.shape[0]
+
+    def training_scores(self) -> np.ndarray:
+        """Training scores without re-projecting: column j is sqrt(mu_j) u_j."""
+        return self.coefficient_vectors * np.sqrt(self.eigenvalues)
+
+    def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
+        """Scores of cross-Gram rows on the first p components (default all)."""
+        return l2_scores(EigenModel(eigenvalues=self.eigenvalues[:p],
+                                    coefficient_vectors=self.coefficient_vectors[:, :p]), cross)
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -84,7 +94,3 @@ def l2_scores(model: EigenModel, gram_or_cross: np.ndarray, tol: float = 0.0) ->
         raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
     return (G @ model.coefficient_vectors) / np.sqrt(mu)
 
-
-def training_score_matrix(model: EigenModel) -> np.ndarray:
-    """Training scores without re-projecting: column j is sqrt(mu_j) u_j."""
-    return model.coefficient_vectors * np.sqrt(model.eigenvalues)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1kpca import Dataset, GramMatrix, KernelSpec, gram, standardize
+from l1kpca import Dataset, GramMatrix, KernelSpec, deflate, gram, standardize
 
 
 def make_instance(seed, n, d, family="linear", sigma=None):
@@ -22,6 +22,15 @@ def raw_dataset(values):
     values = np.asarray(values, dtype=float)
     return Dataset(values=values, column_means=np.zeros(values.shape[1]),
                    column_stds=np.ones(values.shape[1]))
+
+
+def deflation_chain(K, model):
+    """Dense reference chain: K followed by K deflated by each component in turn."""
+    chain = [K.entries]
+    for comp in model.components:
+        K = deflate(K, comp.sign_vector)
+        chain.append(K.entries)
+    return chain
 
 
 @pytest.fixture

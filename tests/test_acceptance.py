@@ -14,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import deflation_chain
 from l1kpca import (DegenerateComponent, FitOptions, KernelSpec, SynthConfig,
                     build_detector, enumerate_sign_vectors, fit, fit_component, gram,
                     l2_fit, l2_scores, maxcut_objective, outlier_scores, pr_auc,
@@ -149,9 +150,10 @@ def test_criterion_06_deflation_soundness():
         spec = KernelSpec(family, sigma=float(d))
         K = gram(spec, data)
         model = fit(K, 4, FitOptions(starts=8, seed=t), train=data)
+        chain = deflation_chain(K, model)
         scale = np.abs(K.entries).max()
         for j, comp in enumerate(model.components):
-            Kn = model.kernel_chain[j + 1]
+            Kn = chain[j + 1]
             assert abs(comp.sign_vector @ Kn @ comp.sign_vector) <= 1e-9 * comp.objective
             assert np.linalg.eigvalsh(Kn).min() >= -1e-8 * scale
         if family == "linear":
@@ -238,7 +240,7 @@ def test_criterion_10_detection_pipeline():
     cfg = SynthConfig(n=100, d=6, rank=2, r_percent=8, noise_scale=60.0, seed=21)
     noisy, _, mask = synth_generate(cfg)
     K = gram(KernelSpec("linear"), noisy)
-    model = fit(K, 6, FitOptions(starts=8, seed=21), train=noisy, keep_chain=False)
+    model = fit(K, 6, FitOptions(starts=8, seed=21), train=noisy)
     det = build_detector(model, noisy)
     assert pr_auc(outlier_scores(det), mask).auc == 1.0
 
@@ -246,7 +248,7 @@ def test_criterion_10_detection_pipeline():
     cfg = SynthConfig(n=120, d=8, rank=3, r_percent=10, noise_scale=5.0, seed=11)
     noisy, _, mask = synth_generate(cfg)
     K = gram(KernelSpec("linear"), noisy)
-    model = fit(K, 8, FitOptions(starts=8, seed=11), train=noisy, keep_chain=False)
+    model = fit(K, 8, FitOptions(starts=8, seed=11), train=noisy)
     det = build_detector(model, noisy)
     auc = pr_auc(outlier_scores(det), mask).auc
     assert abs(auc - GOLDEN_DETECTION_AUC) <= 1e-12

@@ -108,6 +108,47 @@ def test_bench_subcommand(tmp_path, capsys):
     assert {row["method"] for row in rows} == {"l1", "l2"}
 
 
+def test_bench_resolves_gaussian_sigma_per_dataset(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    paths = {}
+    for d in (4, 9):
+        path = tmp_path / f"d{d}.csv"
+        np.savetxt(path, rng.standard_normal((15, d)), delimiter=",")
+        paths[str(path)] = d
+    code, out, _ = run_cli(capsys, "bench", "--data", *paths, "--kernels", "gaussian",
+                           "--components", "2", "--starts", "2")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["kernel"]["sigma"] == float(paths[row["dataset"]])
+
+
+def test_transform_standardizes_raw_query_once_with_training_statistics(tmp_path, capsys):
+    # column means up to 1e4 and stds near 2500: a standardize/destandardize
+    # round trip of the query would perturb some of its entries in the last bit
+    rng = np.random.default_rng(11)
+    offsets = np.array([1e4, -3e3, 250.0])
+    train_path, query_path = tmp_path / "train.csv", tmp_path / "query.csv"
+    np.savetxt(train_path, rng.standard_normal((30, 3)) * 2500.0 + offsets, delimiter=",")
+    np.savetxt(query_path, rng.standard_normal((20, 3)) * 2500.0 + offsets, delimiter=",")
+    for command in ("fit", "fit-l2"):
+        model_path = tmp_path / f"{command}.json"
+        code, _, _ = run_cli(capsys, command, "--data", str(train_path), "--kernel", "gaussian",
+                             "--components", "2", "--model", str(model_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "transform", "--model", str(model_path),
+                               "--data", str(query_path))
+        assert code == 0
+
+        from l1kpca import read_model, standardize_with, transform
+        model = read_model(str(model_path))
+        train = model.train_ref
+        raw = np.loadtxt(query_path, delimiter=",")
+        expected = transform(model, standardize_with(raw, train.column_means, train.column_stds))
+        npt.assert_array_equal(np.array(json.loads(out)["scores"]), expected)
+
+
 def test_fit_l2_and_transform(tmp_path, capsys):
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "l2.json"

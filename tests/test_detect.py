@@ -144,8 +144,7 @@ def test_detector_variances_match_score_columns():
     data, K = make_instance(900, n=15, d=4)
     model = fit(K, 3, FitOptions(starts=8, seed=0), train=data)
     det = build_detector(model, data)
-    from l1kpca.l1 import training_score_matrix
-    npt.assert_allclose(det.variances, training_score_matrix(model).var(axis=0), atol=0)
+    npt.assert_allclose(det.variances, model.training_scores().var(axis=0), atol=0)
     assert det.retained  # nonempty by construction
     assert det.variances[det.retained].sum() >= 0.8 * det.variances.sum() - 1e-12
 

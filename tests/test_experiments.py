@@ -61,7 +61,7 @@ def test_tev_is_100_for_l1_when_components_exhaust_the_rank():
     noisy, normal, _ = synth_generate(cfg)
     spec = KernelSpec("linear")
     K = gram(spec, noisy)
-    model = fit(K, 3, FitOptions(starts=8, seed=5), keep_chain=False)
+    model = fit(K, 3, FitOptions(starts=8, seed=5))
     cross = cross_gram(spec, noisy, normal)
     tev = total_explained_variation(gram(spec, normal), model, cross, 3)
     npt.assert_allclose(tev, 100.0, atol=1e-6)
@@ -83,7 +83,7 @@ def test_tev_never_exceeds_100():
         cfg = SynthConfig(n=40, d=6, rank=3, r_percent=20, seed=seed)
         noisy, normal, _ = synth_generate(cfg)
         spec = KernelSpec("gaussian", sigma=6.0)
-        model = fit(gram(spec, noisy), 3, FitOptions(starts=8, seed=seed), keep_chain=False)
+        model = fit(gram(spec, noisy), 3, FitOptions(starts=8, seed=seed))
         cross = cross_gram(spec, noisy, normal)
         tev = total_explained_variation(gram(spec, normal), model, cross, 3)
         assert 0.0 <= tev <= 100.0 + 1e-6
@@ -94,7 +94,7 @@ def test_tev_invariant_under_global_sign_flip_of_a_component():
     noisy, normal, _ = synth_generate(cfg)
     spec = KernelSpec("linear")
     K = gram(spec, noisy)
-    model = fit(K, 2, FitOptions(starts=8, seed=6), keep_chain=False)
+    model = fit(K, 2, FitOptions(starts=8, seed=6))
     cross = cross_gram(spec, noisy, normal)
     base = total_explained_variation(gram(spec, normal), model, cross, 2)
 
@@ -102,8 +102,7 @@ def test_tev_invariant_under_global_sign_flip_of_a_component():
     from l1kpca.l1 import ComponentModel
     flipped0 = ComponentModel(sign_vector=-comp.sign_vector, objective=comp.objective,
                               report=comp.report, train_scores=-comp.train_scores)
-    flipped = KpcaModel(components=[flipped0, model.components[1]],
-                        kernel_chain=None, spec=spec)
+    flipped = KpcaModel(components=[flipped0, model.components[1]], spec=spec)
     after = total_explained_variation(gram(spec, normal), flipped, cross, 2)
     npt.assert_allclose(after, base, rtol=1e-12)
 
@@ -117,7 +116,7 @@ def test_tev_chain_matches_explicit_feature_space_route():
     K_noisy = gram(spec, noisy)
     K_normal = gram(spec, normal)
     p = 4
-    model = fit(K_noisy, p, FitOptions(starts=8, seed=7), keep_chain=False)
+    model = fit(K_noisy, p, FitOptions(starts=8, seed=7))
     cross = cross_gram(spec, noisy, normal)
     tev = total_explained_variation(K_normal, model, cross, p)
 
@@ -134,7 +133,7 @@ def test_tev_chain_matches_explicit_feature_space_route():
 def test_tev_argument_validation():
     noisy, normal, _ = synth_generate(SynthConfig(n=10, d=3, rank=2, seed=8))
     spec = KernelSpec("linear")
-    model = fit(gram(spec, noisy), 2, FitOptions(starts=8, seed=8), keep_chain=False)
+    model = fit(gram(spec, noisy), 2, FitOptions(starts=8, seed=8))
     cross = cross_gram(spec, noisy, normal)
     with pytest.raises(InvalidData):
         total_explained_variation(gram(spec, normal), model, cross, 5)

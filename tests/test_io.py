@@ -4,11 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_instance
+from conftest import deflation_chain, make_instance
 from l1kpca import (DatasetFile, FitOptions, ParseError, SchemaError, build_detector,
-                    fit, l2_fit, read_csv, read_model, transform, write_csv, write_model)
+                    fit, gram, l2_fit, read_csv, read_model, transform, write_csv,
+                    write_model)
 from l1kpca.io import FORMAT_VERSION
-from l1kpca.l2 import training_score_matrix
 
 
 def test_read_plain_numeric_file(tmp_path):
@@ -80,9 +80,10 @@ def test_model_round_trip_reproduces_transform_exactly(tmp_path):
         assert a.objective == b.objective
         assert a.report.norm_trace == b.report.norm_trace
         assert a.report.lagrange_multiplier == b.report.lagrange_multiplier
-    # Gram chain is rebuilt from data + spec on read
-    assert len(loaded.kernel_chain) == 3
-    npt.assert_allclose(loaded.kernel_chain[0], K.entries, atol=0)
+    # the deflated chain rebuilt from the stored data + spec starts at the fit's Gram
+    chain = deflation_chain(gram(loaded.spec, loaded.train_ref), loaded)
+    assert len(chain) == 3
+    npt.assert_allclose(chain[0], K.entries, atol=0)
 
 
 def test_l2_model_round_trip(tmp_path):
@@ -94,7 +95,7 @@ def test_l2_model_round_trip(tmp_path):
     loaded = read_model(str(path))
     npt.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
     npt.assert_array_equal(loaded.coefficient_vectors, model.coefficient_vectors)
-    npt.assert_array_equal(training_score_matrix(loaded), training_score_matrix(model))
+    npt.assert_array_equal(loaded.training_scores(), model.training_scores())
 
 
 def test_detection_model_round_trip(tmp_path):

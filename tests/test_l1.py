@@ -4,11 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_instance, raw_dataset, raw_gram
+from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
 from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec,
-                    NonConvergence, cross_gram, deflate, fit, fit_component, gram,
-                    sign_update, train_scores, transform)
-from l1kpca.l1 import chain_scores, training_score_matrix, validate_sign_vector
+                    NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
+                    gram, l2_fit, sign_update, train_scores, transform)
+from l1kpca.l1 import chain_scores, validate_sign_vector
 
 
 def brute_force_objectives(K):
@@ -182,25 +182,27 @@ def test_fit_identity_gram_full_rank_hadamard_pattern():
     # each deflated kernel subtracts (1/n) v v' for the extracted v.
     K = raw_gram(np.eye(4))
     model = fit(K, 4, FitOptions(starts=32, seed=5))
+    chain = deflation_chain(K, model)
     for j, comp in enumerate(model.components):
         assert comp.objective == pytest.approx(4.0, abs=1e-9)
         c = comp.sign_vector
-        expected = model.kernel_chain[j] - np.outer(c, c) / 4.0
-        npt.assert_allclose(model.kernel_chain[j + 1], expected, atol=1e-12)
-        assert abs(c @ model.kernel_chain[j + 1] @ c) <= 1e-9 * comp.objective
+        expected = chain[j] - np.outer(c, c) / 4.0
+        npt.assert_allclose(chain[j + 1], expected, atol=1e-12)
+        assert abs(c @ chain[j + 1] @ c) <= 1e-9 * comp.objective
 
 
 def test_fit_two_components_on_seeded_linear_gram():
     data, K = make_instance(500, n=8, d=5)
     model = fit(K, 2, FitOptions(starts=8, seed=3), train=data)
-    assert len(model.kernel_chain) == 3
+    chain = deflation_chain(K, model)
+    assert len(chain) == 3
     tol = 1e-12 * 8 * np.abs(K.entries).max()
     for j, comp in enumerate(model.components):
-        Kj = model.kernel_chain[j]
+        Kj = chain[j]
         v = Kj @ comp.sign_vector
         strong = np.abs(v) > tol
         npt.assert_array_equal(np.sign(v[strong]), comp.sign_vector[strong])
-        assert abs(comp.sign_vector @ model.kernel_chain[j + 1] @ comp.sign_vector) \
+        assert abs(comp.sign_vector @ chain[j + 1] @ comp.sign_vector) \
             <= 1e-9 * comp.objective
 
 
@@ -221,15 +223,6 @@ def test_fit_degenerate_error_carries_component_index():
     assert "component" in str(info.value)
 
 
-def test_fit_keep_chain_false_still_scores():
-    data, K = make_instance(501, n=10, d=4)
-    full = fit(K, 2, FitOptions(starts=8, seed=1), train=data, keep_chain=True)
-    slim = fit(K, 2, FitOptions(starts=8, seed=1), train=data, keep_chain=False)
-    assert slim.kernel_chain is None
-    npt.assert_allclose(training_score_matrix(slim), training_score_matrix(full), atol=0)
-    npt.assert_allclose(transform(slim, data), transform(full, data), atol=0)
-
-
 # ----------------------------------------------------------------- transform
 
 def test_transform_on_training_data_reproduces_train_scores():
@@ -237,7 +230,7 @@ def test_transform_on_training_data_reproduces_train_scores():
         data, K = make_instance(600, n=12, d=4, family=family, sigma=2.0)
         model = fit(K, 3, FitOptions(starts=8, seed=2), train=data)
         T = transform(model, data)
-        npt.assert_allclose(T, training_score_matrix(model), atol=1e-9)
+        npt.assert_allclose(T, model.training_scores(), atol=1e-9)
 
 
 def test_transform_single_query_row_matches_train_score():
@@ -280,6 +273,24 @@ def test_chain_scores_matches_transform():
     model = fit(K, 2, FitOptions(starts=8, seed=0), train=data)
     G = cross_gram(model.spec, data, data)
     npt.assert_allclose(chain_scores(model.components, G), transform(model, data), atol=0)
+
+
+def test_l1_and_l2_models_share_transform_and_detector():
+    data, K = make_instance(606, n=12, d=4, family="gaussian", sigma=2.0)
+    l1_model = fit(K, 3, FitOptions(starts=8, seed=0), train=data)
+    l2_model = l2_fit(K, 3)
+    with pytest.raises(InvalidData):  # no training data attached yet
+        transform(l2_model, data)
+    l2_model.train_ref = data
+    for model in (l1_model, l2_model):
+        Y = model.training_scores()
+        assert Y.shape == (12, 3)
+        npt.assert_allclose(transform(model, data), Y, atol=1e-9)
+        npt.assert_allclose(model.scores(cross_gram(model.spec, data, data), 2),
+                            transform(model, data)[:, :2], rtol=0, atol=1e-12)
+        det = build_detector(model, data)
+        npt.assert_array_equal(det.score_matrix, Y)
+        npt.assert_array_equal(det.variances, Y.var(axis=0))
 
 
 # ------------------------------------------------- linear-kernel equivalence

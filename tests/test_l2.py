@@ -5,7 +5,6 @@ import pytest
 from conftest import make_instance, raw_gram
 from l1kpca import (DegenerateComponent, InvalidData, KernelSpec, NumericalFailure,
                     gram, l2_fit, l2_scores)
-from l1kpca.l2 import training_score_matrix
 
 
 def test_identity_gram_has_unit_eigenvalues():
@@ -85,7 +84,7 @@ def test_training_scores_columns_are_orthogonal():
     Y = l2_scores(model, K.entries)
     off = Y.T @ Y - np.diag(np.diag(Y.T @ Y))
     assert np.abs(off).max() <= 1e-8 * model.eigenvalues[0]
-    npt.assert_allclose(Y, training_score_matrix(model), atol=1e-8)
+    npt.assert_allclose(Y, model.training_scores(), atol=1e-8)
 
 
 def test_linear_kernel_scores_match_covariance_pca_up_to_sign():
