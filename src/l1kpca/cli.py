@@ -198,9 +198,10 @@ def _cmd_fit_l2(args) -> None:
 
 def _cmd_transform(args) -> None:
     model = model_io.read_model(args.model)
-    train = model.train_ref
+    # A detection model file holds scores, not a kernel and training data.
+    train = getattr(model, "train_ref", None)
     if train is None:
-        raise InvalidData("model file lacks training data")
+        raise InvalidData("model file lacks training data; it cannot score new samples")
     raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
     scores = l1.transform(model, standardize_with(raw, train.column_means, train.column_stds))
     _emit(args, {"scores": scores.tolist()},

@@ -108,13 +108,20 @@ def total_explained_variation(normal_gram: GramMatrix, model, cross: np.ndarray,
     if not 1 <= p <= available:
         raise InvalidData(f"p={p} not in [1, {available}]")
 
-    scores = model.scores(cross, p)
-    numerator = float((scores * scores).sum())
+    return _explained_percent(model, cross, p, _capturable_variation(normal_gram, p))
 
+
+def _capturable_variation(normal_gram: GramMatrix, p: int) -> float:
+    """TEV denominator: the top-p eigenvalue sum of the normal Gram."""
     denominator = float(l2.l2_fit(normal_gram, p).eigenvalues.sum())
     if denominator <= 0:
         raise DegenerateComponent("normal dataset has no capturable variation")
-    return 100.0 * numerator / denominator
+    return denominator
+
+
+def _explained_percent(model, cross: np.ndarray, p: int, denominator: float) -> float:
+    scores = model.scores(cross, p)
+    return 100.0 * float((scores * scores).sum()) / denominator
 
 
 def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
@@ -129,8 +136,10 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
 
         model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed))
         model2 = l2.l2_fit(K_noisy, p)
-        tev1.append(total_explained_variation(K_normal, model1, cross, p))
-        tev2.append(total_explained_variation(K_normal, model2, cross, p))
+        # One denominator eigh per seed, shared by both solvers.
+        denominator = _capturable_variation(K_normal, p)
+        tev1.append(_explained_percent(model1, cross, p, denominator))
+        tev2.append(_explained_percent(model2, cross, p, denominator))
     return RobustnessResult(r_percent=r, kernel=spec.to_dict(),
                             tev_l1=float(np.mean(tev1)), tev_l2=float(np.mean(tev2)),
                             p=p, seeds=list(seeds), noise_scale=cfg.noise_scale)

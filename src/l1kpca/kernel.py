@@ -10,6 +10,11 @@ this package. Three kernel families are supported:
 
 Datasets, kernel specs and Gram matrices are frozen after construction
 (arrays are marked read-only), so they can be shared across threads.
+
+Memory: a Gram matrix peaks at about n^2 floats plus one ~1 MB working
+tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about m*n floats
+plus one tile. The gaussian kernel is evaluated in row tiles of explicit
+differences; every family's Gram is mirrored in place, tile by tile.
 """
 
 from __future__ import annotations
@@ -22,8 +27,13 @@ from .errors import InvalidData
 
 KERNEL_FAMILIES = ("linear", "gaussian", "polynomial")
 
-# Dense Gram matrices only; cap n to bound the O(n^2) memory footprint.
+# Dense Gram matrices only; cap n to bound the O(n^2) memory footprint:
+# n^2 floats plus one working tile, 3.2 GB at the cap.
 MAX_GRAM_SIZE = 20_000
+
+# Target size of one working tile: a block of gaussian differences, or the
+# source block of one mirror copy. A tile holds at least one row.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -151,26 +161,71 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     return float((a @ b + spec.offset) ** spec.degree)
 
 
+def _tile_rows(row_floats: int) -> int:
+    """Rows per tile when each row of the tile holds row_floats floats."""
+    return max(1, _TILE_BYTES // (8 * row_floats))
+
+
+def _gaussian(spec: KernelSpec, left: np.ndarray, right: np.ndarray,
+              upper: bool = False) -> np.ndarray:
+    """Gaussian kernel between left and right rows, one row tile at a time.
+
+    With upper=True (left is right) each tile starts at its first row's
+    diagonal column, so only the upper triangle plus each tile's strict
+    lower corner is filled; the rest of the result is left uninitialized.
+    """
+    m, n = left.shape[0], right.shape[0]
+    out = np.empty((m, n))
+    a = 0
+    while a < m:
+        first = a if upper else 0
+        b = min(m, a + _tile_rows((n - first) * left.shape[1]))
+        # Explicit differences (not the dot-product expansion) so entries
+        # match kernel_eval to rounding for every pair.
+        diff = left[a:b, None, :] - right[None, first:, :]
+        sqdist = np.einsum("ijk,ijk->ij", diff, diff)
+        out[a:b, first:] = np.exp(-sqdist / (2.0 * spec.sigma**2))
+        a = b
+    return out
+
+
 def _pairwise(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if spec.family == "linear":
         return left @ right.T
     if spec.family == "gaussian":
-        # Explicit differences (not the dot-product expansion) so entries
-        # match kernel_eval to rounding for every pair.
-        diff = left[:, None, :] - right[None, :, :]
-        sqdist = np.einsum("ijk,ijk->ij", diff, diff)
-        return np.exp(-sqdist / (2.0 * spec.sigma**2))
+        return _gaussian(spec, left, right)
     return (left @ right.T + spec.offset) ** spec.degree
 
 
+def _mirror_upper(entries: np.ndarray) -> None:
+    """Copy the upper triangle onto the lower one in place, one row tile at a time.
+
+    Only strict-lower entries are written, so the upper triangle is kept
+    as computed even where BLAS left full[a, b] != full[b, a].
+    """
+    n = entries.shape[0]
+    step = _tile_rows(n)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        block = entries[a:b, a:b]
+        np.copyto(block, block.T, where=np.tri(b - a, k=-1, dtype=bool))
+        entries[b:, a:b] = entries[a:b, b:].T
+
+
 def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
-    """Pairwise kernel matrix of a dataset, exactly symmetric by mirroring."""
+    """Pairwise kernel matrix of a dataset, exactly symmetric by mirroring.
+
+    The gaussian kernel is evaluated on the upper triangle only.
+    """
     n = data.n_samples
     if n > MAX_GRAM_SIZE:
         raise InvalidData(f"n={n} exceeds the dense Gram cap of {MAX_GRAM_SIZE}")
-    full = _pairwise(spec, data.values, data.values)
-    upper = np.triu(full)
-    entries = upper + np.triu(full, 1).T
+    values = data.values
+    if spec.family == "gaussian":
+        entries = _gaussian(spec, values, values, upper=True)
+    else:
+        entries = _pairwise(spec, values, values)
+    _mirror_upper(entries)
     return GramMatrix(entries=entries, spec=spec)
 
 

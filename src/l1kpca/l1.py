@@ -293,11 +293,18 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     tol_zero, _ = FitOptions().resolve(K)
     v = K @ c
     s = float(c @ v)
-    if s <= tol_zero:
-        raise DegenerateComponent(f"cannot deflate: objective {s:.3e} is numerically zero")
-    # outer(v, v) is exactly symmetric, so the difference stays exactly symmetric.
-    entries = K - np.outer(v, v) / s
+    _check_deflatable(s, tol_zero)
+    # outer(v, v) is exactly symmetric, so the difference stays exactly
+    # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
+    entries = np.outer(v, v)
+    entries /= s
+    np.subtract(K, entries, out=entries)
     return GramMatrix(entries=entries, spec=gram_matrix.spec)
+
+
+def _check_deflatable(s: float, zero_band: float) -> None:
+    if s <= zero_band:
+        raise DegenerateComponent(f"cannot deflate: objective {s:.3e} is numerically zero")
 
 
 def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
@@ -332,8 +339,9 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     current = gram_matrix
     components: list[ComponentModel] = []
     for j in range(p):
-        tol_zero, eps_term = opts.resolve(current.entries)
-        first = default_start(current.entries, tol_zero)
+        K = current.entries
+        tol_zero, eps_term = opts.resolve(K)
+        first = default_start(K, tol_zero)
         if opts.starts > 1:
             # Per-component stream keyed on (seed, j) so component count
             # does not reshuffle earlier components' starts.
@@ -342,7 +350,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         else:
             C0 = first[:, None]
 
-        results = _iterate_batch(current.entries, C0, tol_zero, eps_term, opts.max_iter)
+        results = _iterate_batch(K, C0, tol_zero, eps_term, opts.max_iter)
         # Reduce on recorded objectives first (deterministic: best value,
         # ties to the lowest start index); only the winner is finalized.
         best_idx = None
@@ -353,16 +361,20 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
                 best_idx = idx
         if best_idx is None:
             try:
-                _component_from_result(current.entries, results[0], tol_zero)
+                _component_from_result(K, results[0], tol_zero)
             except (DegenerateComponent, NonConvergence) as exc:
                 exc.args = (f"component {j}: {exc.args[0]}",)
                 raise
             raise DegenerateComponent(f"component {j}: no usable start")  # pragma: no cover
-        best = _component_from_result(current.entries, results[best_idx], tol_zero)
+        best = _component_from_result(K, results[best_idx], tol_zero)
 
         components.append(best)
         try:
-            current = deflate(current, best.sign_vector)
+            if j + 1 < p:
+                current = deflate(current, best.sign_vector)
+            else:
+                # Nothing reads the last deflated matrix; keep only deflate()'s check.
+                _check_deflatable(best.objective, FitOptions().resolve(K)[0])
         except DegenerateComponent as exc:
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise

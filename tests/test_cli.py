@@ -149,6 +149,23 @@ def test_transform_standardizes_raw_query_once_with_training_statistics(tmp_path
         npt.assert_array_equal(np.array(json.loads(out)["scores"]), expected)
 
 
+def test_transform_rejects_detection_model_with_data_error(tmp_path, capsys):
+    from l1kpca import FitOptions, KernelSpec, build_detector, fit, gram, standardize, write_model
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((12, 3))
+    data = standardize(raw)
+    model = fit(gram(KernelSpec("linear"), data), 2, FitOptions(seed=3), train=data)
+    det_path = tmp_path / "det.json"
+    write_model(build_detector(model, data), str(det_path))
+    query = tmp_path / "q.csv"
+    query.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in raw) + "\n")
+    code, out, err = run_cli(capsys, "transform", "--model", str(det_path), "--data", str(query))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("l1kpca: ") and "cannot score new samples" in err
+
+
 def test_fit_l2_and_transform(tmp_path, capsys):
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "l2.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from conftest import raw_dataset
 from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec,
                     SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
                     runtime_bench, synth_generate, total_explained_variation)
+from l1kpca import l2
 from l1kpca.l1 import KpcaModel
 
 
@@ -151,6 +154,34 @@ def test_sweep_single_cell_is_deterministic_and_thread_independent():
     assert len(serial) == 1
     assert serial[0].to_dict() == threaded[0].to_dict()
     assert 0.0 <= serial[0].tev_l1 <= 100.0 + 1e-6
+
+
+def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
+    cfg = SynthConfig(n=30, d=4, rank=2, seed=12)
+    calls = []
+    real_l2_fit = l2.l2_fit
+
+    def counting_l2_fit(*args, **kwargs):
+        calls.append(1)
+        return real_l2_fit(*args, **kwargs)
+
+    monkeypatch.setattr(l2, "l2_fit", counting_l2_fit)
+    row = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=3)[0]
+    monkeypatch.undo()
+    assert len(calls) == 2 * 3  # per seed: the L2 model and the shared denominator
+
+    # The same values as scoring each model with the public function.
+    spec = KernelSpec("linear")
+    tev1, tev2 = [], []
+    for seed in row.seeds:
+        noisy, normal, _ = synth_generate(replace(cfg, r_percent=10.0, seed=seed))
+        K_noisy, K_normal = gram(spec, noisy), gram(spec, normal)
+        cross = cross_gram(spec, noisy, normal)
+        tev1.append(total_explained_variation(
+            K_normal, fit(K_noisy, 2, FitOptions(seed=seed)), cross, 2))
+        tev2.append(total_explained_variation(K_normal, l2_fit(K_noisy, 2), cross, 2))
+    assert row.tev_l1 == float(np.mean(tev1))
+    assert row.tev_l2 == float(np.mean(tev2))
 
 
 def test_sweep_rows_cover_grid_in_order():

@@ -1,10 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import raw_dataset
 from l1kpca import (InvalidData, KernelSpec, cross_gram, gram, kernel_eval, standardize,
                     standardize_with)
+from l1kpca import kernel
+
+
+def dense_pairwise(spec, left, right):
+    """Dense reference: the gaussian builds the whole m x n x d difference tensor."""
+    if spec.family == "linear":
+        return left @ right.T
+    if spec.family == "gaussian":
+        diff = left[:, None, :] - right[None, :, :]
+        return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * spec.sigma**2))
+    return (left @ right.T + spec.offset) ** spec.degree
+
+
+def dense_gram(spec, values):
+    """Dense reference Gram: the full matrix mirrored out of place."""
+    full = dense_pairwise(spec, values, values)
+    return np.triu(full) + np.triu(full, 1).T
 
 
 def test_standardize_symmetric_three_point_column():
@@ -163,3 +183,52 @@ def test_dataset_arrays_are_frozen():
     data = standardize(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
         data.values[0, 0] = 9.9
+
+
+# ------------------------------------------------- tiled kernels vs dense reference
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 40), m=st.integers(1, 30), d=st.integers(1, 12),
+       sigma=st.floats(0.05, 50.0), tile_bytes=st.integers(1, 4096),
+       seed=st.integers(0, 2**32 - 1))
+def test_tiled_kernels_equal_dense_reference(monkeypatch, n, m, d, sigma, tile_bytes, seed):
+    # A small tile forces several row tiles, ragged last tiles and
+    # diagonal-block mirrors at small n.
+    monkeypatch.setattr(kernel, "_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(seed)
+    train = raw_dataset(rng.standard_normal((n, d)))
+    query = raw_dataset(rng.standard_normal((m, d)))
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=sigma),
+                 KernelSpec("polynomial", degree=3, offset=0.5)):
+        assert np.array_equal(gram(spec, train).entries, dense_gram(spec, train.values))
+        assert np.array_equal(cross_gram(spec, train, query),
+                              dense_pairwise(spec, query.values, train.values))
+
+
+@pytest.mark.parametrize("n", [1, 361, 363])
+def test_default_tile_gram_equals_dense_reference(n):
+    # At the default tile size, n = 363 is the first n whose mirror takes two tiles.
+    rng = np.random.default_rng(n)
+    data = standardize(rng.standard_normal((n, 40)))
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=40.0), KernelSpec("polynomial")):
+        assert np.array_equal(gram(spec, data).entries, dense_gram(spec, data.values))
+
+
+def test_gaussian_gram_and_cross_gram_peak_at_one_matrix_plus_a_tile():
+    n, m, d = 3000, 2700, 50
+    rng = np.random.default_rng(21)
+    train = raw_dataset(rng.standard_normal((n, d)))
+    query = raw_dataset(rng.standard_normal((m, d)))
+    spec = KernelSpec("gaussian", sigma=float(d))
+    tracemalloc.start()
+    try:
+        gram(spec, train)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cross_gram(spec, train, query)
+        cross_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram_peak <= 1.25 * 8 * n * n
+    assert cross_peak <= 1.25 * 8 * m * n

@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
-from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec,
+from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
                     gram, l2_fit, sign_update, train_scores, transform)
-from l1kpca.l1 import chain_scores, validate_sign_vector
+from l1kpca.l1 import chain_scores, default_start, random_starts, validate_sign_vector
 
 
 def brute_force_objectives(K):
@@ -146,6 +146,15 @@ def test_deflate_rejects_degenerate_direction():
         deflate(K, np.ones(10))  # K @ 1 = 0 on standardized linear data
 
 
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+def test_deflate_equals_out_of_place_formula(family):
+    data, K = make_instance(302, n=50, d=4, family=family)
+    c = random_starts(50, 1, seed=302)[:, 0]
+    v = K.entries @ c
+    expected = K.entries - np.outer(v, v) / float(c @ v)
+    assert np.array_equal(deflate(K, c).entries, expected)
+
+
 # -------------------------------------------------------------- train_scores
 
 def test_train_scores_identity_kernel():
@@ -204,6 +213,50 @@ def test_fit_two_components_on_seeded_linear_gram():
         npt.assert_array_equal(np.sign(v[strong]), comp.sign_vector[strong])
         assert abs(comp.sign_vector @ chain[j + 1] @ comp.sign_vector) \
             <= 1e-9 * comp.objective
+
+
+def dense_reference_fit(K, p, opts):
+    """The dense path: each start solved alone, K deflated by deflate()."""
+    components = []
+    for j in range(p):
+        tol_zero, _ = opts.resolve(K.entries)
+        starts = np.column_stack([default_start(K.entries, tol_zero),
+                                  random_starts(K.n, opts.starts - 1, seed=[opts.seed, j])])
+        candidates = []
+        for c0 in starts.T:
+            try:
+                candidates.append(fit_component(K, c0, opts))
+            except (DegenerateComponent, NonConvergence):
+                pass
+        best = max(candidates, key=lambda comp: comp.objective)  # ties: first start
+        components.append(best)
+        K = deflate(K, best.sign_vector)
+    return components
+
+
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+def test_fit_equals_dense_reference_fit(family):
+    data, K = make_instance(800, n=40, d=6, family=family, sigma=3.0)
+    opts = FitOptions(starts=8, seed=5)
+    model = fit(K, 6, opts)
+    reference = dense_reference_fit(K, 6, opts)
+    for comp, ref in zip(model.components, reference):
+        npt.assert_array_equal(comp.sign_vector, ref.sign_vector)
+        assert comp.objective == ref.objective
+        npt.assert_array_equal(comp.train_scores, ref.train_scores)
+
+
+@pytest.mark.parametrize("family", ["linear", "gaussian"])
+def test_multistart_fit_is_consistent_with_dense_deflation_chain(family):
+    data, K = make_instance(801, n=40, d=6, family=family)
+    model = fit(K, 5, FitOptions(starts=8, seed=2))
+    chain = deflation_chain(K, model)
+    for j, comp in enumerate(model.components):
+        c = comp.sign_vector
+        v = chain[j] @ c
+        assert comp.objective == float(c @ v)
+        npt.assert_array_equal(comp.train_scores, v / np.sqrt(comp.objective))
+        npt.assert_array_equal(sign_update(GramMatrix(entries=chain[j]), c), c)
 
 
 def test_fit_component_count_validation(two_point_gram):
