@@ -33,9 +33,8 @@ def _add_data_flags(parser, required=True):
 
 def _add_kernel_flags(parser):
     parser.add_argument("--kernel", choices=["linear", "gaussian", "poly"], default="linear")
-    parser.add_argument("--sigma", type=float, default=None, help="gaussian width")
-    parser.add_argument("--auto-sigma-d", action="store_true",
-                        help="set the gaussian width to the feature count")
+    parser.add_argument("--sigma", type=float, default=None,
+                        help="gaussian width (default: the feature count)")
     parser.add_argument("--degree", type=int, default=2, help="polynomial degree")
     parser.add_argument("--offset", type=float, default=1.0, help="polynomial offset")
 
@@ -45,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Robust L1-norm kernel PCA toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count for sweep cells (results are identical at any value)")
     common.add_argument("--output", default="-", help="output path, or - for stdout")
     common.add_argument("--format", choices=["json", "jsonl", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
@@ -102,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--noise-scale", type=float, default=5.0)
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker count for sweep cells (results are identical at any value)")
 
     p = add_parser("bench", help="wall-clock comparison of full L1 and L2 fits")
     p.add_argument("--data", nargs="+", required=True, help="CSV files")
@@ -143,9 +142,7 @@ def _spec(kernel: str, sigma: float | None, n_features: int,
 
 
 def _kernel_spec(args, n_features: int) -> KernelSpec:
-    auto = args.auto_sigma_d and args.kernel == "gaussian"
-    return _spec(args.kernel, None if auto else args.sigma, n_features,
-                 args.degree, args.offset)
+    return _spec(args.kernel, args.sigma, n_features, args.degree, args.offset)
 
 
 def _config_echo(args) -> dict:

@@ -36,23 +36,16 @@ DEFAULT_STARTS = 8
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the fixed-point solve.
-
-    tol_zero / eps_term default to 1e-12 * n * max|K| and 1e-9 * max|K|
-    when left as None.
-    """
+    """Knobs for the fixed-point solve."""
 
     starts: int = DEFAULT_STARTS
     seed: int = 0
-    tol_zero: float | None = None
     max_iter: int = DEFAULT_MAX_ITER
-    eps_term: float | None = None
 
     def resolve(self, K: np.ndarray) -> tuple[float, float]:
+        """The zero band 1e-12 * n * max|K| and the termination floor 1e-9 * max|K|."""
         scale = _max_abs(K)
-        tol_zero = self.tol_zero if self.tol_zero is not None else 1e-12 * K.shape[0] * scale
-        eps_term = self.eps_term if self.eps_term is not None else 1e-9 * scale
-        return tol_zero, eps_term
+        return 1e-12 * K.shape[0] * scale, 1e-9 * scale
 
 
 def _max_abs(K: np.ndarray) -> float:
@@ -126,16 +119,16 @@ def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
     return c
 
 
-def sign_update(gram_matrix: GramMatrix, c, tol_zero: float | None = None) -> np.ndarray:
+def sign_update(gram_matrix: GramMatrix, c) -> np.ndarray:
     """One step of the fixed-point map: c_i <- sgn((Kc)_i).
 
-    Entries with |(Kc)_i| <= tol_zero keep their previous sign, which
-    prevents oscillation on exactly-orthogonal configurations.
+    Entries inside the zero band (|(Kc)_i| <= 1e-12 * n * max|K|) keep
+    their previous sign, which prevents oscillation on exactly-orthogonal
+    configurations.
     """
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    if tol_zero is None:
-        tol_zero, _ = FitOptions().resolve(K)
+    tol_zero, _ = FitOptions().resolve(K)
     v = K @ c
     return np.where(np.abs(v) <= tol_zero, c, np.sign(v))
 
@@ -293,18 +286,14 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     tol_zero, _ = FitOptions().resolve(K)
     v = K @ c
     s = float(c @ v)
-    _check_deflatable(s, tol_zero)
+    if s <= tol_zero:
+        raise DegenerateComponent(f"cannot deflate: objective {s:.3e} is numerically zero")
     # outer(v, v) is exactly symmetric, so the difference stays exactly
     # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
     entries = np.outer(v, v)
     entries /= s
     np.subtract(K, entries, out=entries)
     return GramMatrix(entries=entries, spec=gram_matrix.spec)
-
-
-def _check_deflatable(s: float, zero_band: float) -> None:
-    if s <= zero_band:
-        raise DegenerateComponent(f"cannot deflate: objective {s:.3e} is numerically zero")
 
 
 def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
@@ -369,15 +358,10 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         best = _component_from_result(K, results[best_idx], tol_zero)
 
         components.append(best)
-        try:
-            if j + 1 < p:
-                current = deflate(current, best.sign_vector)
-            else:
-                # Nothing reads the last deflated matrix; keep only deflate()'s check.
-                _check_deflatable(best.objective, FitOptions().resolve(K)[0])
-        except DegenerateComponent as exc:
-            exc.args = (f"component {j}: {exc.args[0]}",)
-            raise
+        # The winner passed the zero band with deflate()'s own product, so
+        # deflate() cannot refuse it. Nothing reads the last deflated matrix.
+        if j + 1 < p:
+            current = deflate(current, best.sign_vector)
 
     return KpcaModel(components=components, spec=gram_matrix.spec, train_ref=train)
 

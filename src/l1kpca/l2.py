@@ -80,7 +80,7 @@ def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     return EigenModel(eigenvalues=mu, coefficient_vectors=U, spec=gram_matrix.spec)
 
 
-def l2_scores(model: EigenModel, gram_or_cross: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def l2_scores(model: EigenModel, gram_or_cross: np.ndarray) -> np.ndarray:
     """Project rows of a (cross-)Gram matrix: column j is (G u_j)/sqrt(mu_j).
 
     On the training Gram itself this reduces to sqrt(mu_j) u_j.
@@ -90,7 +90,7 @@ def l2_scores(model: EigenModel, gram_or_cross: np.ndarray, tol: float = 0.0) ->
     if G.ndim != 2 or G.shape[1] != n:
         raise InvalidData(f"expected matrix with {n} columns, got shape {G.shape}")
     mu = model.eigenvalues
-    if np.any(mu <= tol):
+    if np.any(mu <= 0):
         raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
     return (G @ model.coefficient_vectors) / np.sqrt(mu)
 

@@ -1,10 +1,11 @@
 """Exhaustive ground truth for the sign-vector quadratic maximization.
 
-Enumerates c'Kc over all sign vectors (c_1 pinned to +1: the objective is
-invariant under a global flip) in Gray-code order, updating Kc and the
-objective in O(n) per visited vector. Used to validate the fixed-point
-solver on small instances, together with the max-cut form of the same
-objective.
+Evaluates c'Kc for every sign vector with c_0 pinned to +1 (the objective
+is invariant under a global flip), a block of vectors at a time: each
+block is a +-1 matrix of about one kernel tile (~1 MB), so working memory
+is a few block-sized arrays whatever the limit. Used to validate the
+fixed-point solver on small instances, together with the max-cut form of
+the same objective.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .kernel import GramMatrix
+from .kernel import GramMatrix, _tile_rows
 from .l1 import validate_sign_vector
 
 DEFAULT_LIMIT = 20
@@ -24,8 +25,8 @@ DEFAULT_LIMIT = 20
 class OracleResult:
     """Best sign vector and objective over the full enumeration.
 
-    objective_histogram optionally holds all 2^(n-1) visited objective
-    values in visiting order.
+    objective_histogram optionally holds all 2^(n-1) objective values in
+    code order (see enumerate_sign_vectors).
     """
 
     best_sign: np.ndarray
@@ -33,47 +34,49 @@ class OracleResult:
     objective_histogram: list[float] | None = None
 
 
-def _tie_key(c: np.ndarray) -> tuple:
-    # +1 sorts before -1, so the all-plus vector wins exact ties.
-    return tuple(0 if ci > 0 else 1 for ci in c)
+def _sign_block(first: int, stop: int, n: int) -> np.ndarray:
+    """Sign vectors of codes first..stop-1, one per row."""
+    codes = np.arange(first, stop, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    C = np.ones((stop - first, n))
+    C[:, 1:] -= 2.0 * bits
+    return C
 
 
 def enumerate_sign_vectors(gram_matrix: GramMatrix, limit: int = DEFAULT_LIMIT,
                            keep_histogram: bool = False) -> OracleResult:
-    """Maximize c'Kc over sign vectors by exhaustive Gray-code search.
+    """Maximize c'Kc over sign vectors by exhaustive blockwise search.
 
-    Flipping one entry i updates the objective by 4*K_ii - 4*c_i*(Kc)_i
-    and the product Kc by -2*c_i*K[:, i], so each of the 2^(n-1) vectors
-    costs O(n). Exact ties are broken toward the vector whose +1 entries
-    come first.
+    Code t in [0, 2^(n-1)) stands for the vector with c_0 = +1 and
+    c_i = -1 where bit n-1-i of t is set, so rising codes list the
+    vectors in lexicographic order with +1 before -1. Codes are evaluated
+    in blocks of one kernel tile, each block's objectives as one product;
+    exact ties go to the lowest code, the vector whose +1 entries come
+    first.
     """
     K = gram_matrix.entries
     n = K.shape[0]
     if n > limit:
         raise InstanceTooLarge(f"n={n} exceeds enumeration limit {limit}")
 
-    c = np.ones(n)
-    v = K @ c
-    obj = float(c @ v)
-    best_c = c.copy()
-    best_obj = obj
-    hist = [obj] if keep_histogram else None
-
-    # Reflected Gray code over entries 1..n-1; step t flips the entry at
-    # (number of trailing zeros of t) + 1.
-    for t in range(1, 1 << (n - 1)):
-        i = (t & -t).bit_length()  # trailing zeros + 1
-        obj += 4.0 * K[i, i] - 4.0 * c[i] * v[i]
-        v -= 2.0 * c[i] * K[:, i]
-        c[i] = -c[i]
+    total = 1 << (n - 1)
+    step = _tile_rows(n)
+    best_code, best_obj = 0, -np.inf
+    hist = [] if keep_histogram else None
+    for first in range(0, total, step):
+        C = _sign_block(first, min(total, first + step), n)
+        obj = np.einsum("ij,ij->i", C @ K, C)
         if keep_histogram:
-            hist.append(obj)
-        if obj > best_obj or (obj == best_obj and _tie_key(c) < _tie_key(best_c)):
-            best_obj = obj
-            best_c = c.copy()
+            hist.extend(obj.tolist())
+        # argmax keeps the first maximum in the block; strict > across blocks.
+        i = int(np.argmax(obj))
+        if obj[i] > best_obj:
+            best_code, best_obj = first + i, obj[i]
 
-    # Incremental updates carry rounding drift; report the winner's value
-    # recomputed from scratch.
+    best_c = _sign_block(best_code, best_code + 1, n)[0]
+    # Report the winner's value as a gemv and a dot, not its einsum value:
+    # those are the bits fit reports for the same vector, so oracle and
+    # solver objectives compare exactly.
     best_obj = float(best_c @ (K @ best_c))
     return OracleResult(best_sign=best_c, best_objective=best_obj,
                         objective_histogram=hist)

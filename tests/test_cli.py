@@ -67,7 +67,7 @@ def test_detect_emits_auc_and_is_deterministic(tmp_path, capsys):
     outputs = []
     for _ in range(2):
         code, out, _ = run_cli(capsys, "detect", "--data", str(noisy), "--label-column", "5",
-                               "--kernel", "gaussian", "--auto-sigma-d", "--seed", "9")
+                               "--kernel", "gaussian", "--seed", "9")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]  # byte-identical

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_instance, raw_gram
-from l1kpca import (FitOptions, InstanceTooLarge, enumerate_sign_vectors, fit,
-                    fit_component, maxcut_objective)
+from l1kpca import (FitOptions, InstanceTooLarge, KernelSpec, enumerate_sign_vectors, fit,
+                    fit_component, gram, kernel, maxcut_objective, standardize)
 
 
 def test_identity_gram_all_vectors_tie_and_all_plus_wins():
@@ -97,3 +99,69 @@ def test_global_sign_flip_invariance():
         a = float(c @ K.entries @ c)
         b = float((-c) @ K.entries @ (-c))
         assert a == b
+
+
+def _gray_code_reference(K):
+    """The former oracle: a Gray-code walk with O(n) incremental updates.
+
+    Exact ties go to the vector whose +1 entries come first; the winner's
+    value is recomputed in full since the updates drift.
+    """
+    n = K.shape[0]
+    c = np.ones(n)
+    v = K @ c
+    obj = float(c @ v)
+    best_c, best_obj = c.copy(), obj
+    for t in range(1, 1 << (n - 1)):
+        i = (t & -t).bit_length()
+        obj += 4.0 * K[i, i] - 4.0 * c[i] * v[i]
+        v -= 2.0 * c[i] * K[:, i]
+        c[i] = -c[i]
+        if obj > best_obj or (obj == best_obj and tuple(c < 0) < tuple(best_c < 0)):
+            best_obj, best_c = obj, c.copy()
+    return best_c, float(best_c @ (K @ best_c))
+
+
+def test_blockwise_oracle_equals_gray_code_walk_bit_for_bit():
+    rng = np.random.default_rng(54)
+    families = ("linear", "gaussian", "polynomial")
+    for k in range(300):
+        n, d = int(rng.integers(1, 15)), int(rng.integers(1, 7))
+        data = standardize(rng.standard_normal((n, d)))
+        K = gram(KernelSpec(families[k % 3], sigma=float(d)), data)
+        res = enumerate_sign_vectors(K)
+        best_c, best_obj = _gray_code_reference(K.entries)
+        npt.assert_array_equal(res.best_sign, best_c)
+        assert res.best_objective == best_obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 8), tile_bytes=st.integers(1, 400), data=st.data())
+def test_ties_go_to_the_first_maximizer_in_plus_first_order(monkeypatch, n, tile_bytes, data):
+    # Integer entries make every objective exact, so ties are real; a small
+    # tile splits the codes into several blocks, often with a ragged last one.
+    monkeypatch.setattr(kernel, "_TILE_BYTES", tile_bytes)
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    A = np.array(entries, dtype=float).reshape(n, n)
+    K = np.triu(A) + np.triu(A, 1).T
+    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
+
+    # +1 before -1 in each position: the order of the codes.
+    vectors = [np.array((1.0,) + tail) for tail in itertools.product((1.0, -1.0), repeat=n - 1)]
+    objectives = [float(c @ K @ c) for c in vectors]
+    first = objectives.index(max(objectives))
+    npt.assert_array_equal(res.best_sign, vectors[first])
+    assert res.best_objective == objectives[first]
+    assert res.objective_histogram == objectives
+
+
+def test_enumeration_memory_is_one_block_at_n_20():
+    data, K = make_instance(55, n=20, d=4, family="gaussian")
+    tracemalloc.start()
+    try:
+        enumerate_sign_vectors(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
