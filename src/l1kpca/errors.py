@@ -28,7 +28,7 @@ class ParseError(L1KpcaError):
 
 
 class SchemaError(L1KpcaError):
-    """A persisted model has an unknown or incompatible format version."""
+    """A persisted model has an unknown format version or a malformed structure."""
 
 
 class DegenerateComponent(L1KpcaError):

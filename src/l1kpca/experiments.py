@@ -83,9 +83,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
         noisy_raw[rows] += cfg.noise_scale * rng.standard_normal((n_corrupt, cfg.d))
         mask[rows] = 1
 
-    noisy = standardize(noisy_raw)
-    noisy = Dataset(values=noisy.values, column_means=noisy.column_means,
-                    column_stds=noisy.column_stds, labels=mask.copy())
+    noisy = standardize(noisy_raw, labels=mask.copy())
     normal = standardize(noisy_raw[mask == 0])
     return noisy, normal, mask
 

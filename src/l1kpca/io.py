@@ -11,7 +11,7 @@ so files stay O(n*d + n*p) instead of O(n^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,9 +98,7 @@ def read_csv_raw(file: DatasetFile) -> tuple[np.ndarray, np.ndarray | None]:
 def read_csv(file: DatasetFile) -> Dataset:
     """Parse a numeric CSV (see read_csv_raw) into a standardized Dataset."""
     values, labels = read_csv_raw(file)
-    data = standardize(values)
-    return Dataset(values=data.values, column_means=data.column_means,
-                   column_stds=data.column_stds, labels=labels)
+    return standardize(values, labels)
 
 
 def write_csv(path: str, matrix, labels=None, header: list[str] | None = None) -> None:
@@ -130,23 +128,22 @@ def _dataset_payload(data: Dataset) -> dict:
 
 def _dataset_from(payload: dict) -> Dataset:
     labels = payload.get("labels")
-    return Dataset(values=np.asarray(payload["values"], dtype=float),
+    data = Dataset(values=np.asarray(payload["values"], dtype=float),
                    column_means=np.asarray(payload["column_means"], dtype=float),
                    column_stds=np.asarray(payload["column_stds"], dtype=float),
                    labels=None if labels is None else np.asarray(labels, dtype=int))
-
-
-def _report_payload(rep: l1.ConvergenceReport) -> dict:
-    return {"iterations": rep.iterations, "norm_trace": rep.norm_trace,
-            "terminated_by": rep.terminated_by, "rate_estimates": rep.rate_estimates,
-            "lagrange_multiplier": rep.lagrange_multiplier,
-            "zero_band_hits": rep.zero_band_hits}
+    if (data.values.ndim != 2
+            or data.column_means.shape != (data.n_features,)
+            or data.column_stds.shape != (data.n_features,)
+            or (data.labels is not None and data.labels.shape != (data.n_samples,))):
+        raise SchemaError("training data arrays disagree in shape")
+    return data
 
 
 def _component_payload(comp: l1.ComponentModel) -> dict:
     return {"sign_vector": [int(x) for x in comp.sign_vector],
             "objective": comp.objective,
-            "report": _report_payload(comp.report),
+            "report": asdict(comp.report),
             "train_scores": _array(comp.train_scores)}
 
 
@@ -181,8 +178,10 @@ def write_model(model, path: str) -> None:
 def read_model(path: str):
     """Load a model written by write_model.
 
-    Raises SchemaError on a version mismatch and ParseError on files that
-    do not parse as JSON (truncation included).
+    Raises ParseError on files that do not parse as JSON (truncation
+    included) and SchemaError on a version mismatch or a malformed model:
+    a missing or mistyped field, or vectors whose lengths disagree with
+    each other or with the stored training rows.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -191,34 +190,47 @@ def read_model(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid or truncated model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"model file holds a JSON {type(payload).__name__}, not an object")
 
     version = payload.get("version")
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported model version {version!r} (expected {FORMAT_VERSION!r})")
+    try:
+        return _model_from(payload)
+    except KeyError as exc:
+        raise SchemaError(f"model file lacks field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed model file: {exc}") from None
 
+
+def _model_from(payload: dict):
     kind = payload.get("kind")
+    train = _dataset_from(payload["train"]) if "train" in payload else None
     if kind == "l1":
         spec = KernelSpec.from_dict(payload["spec"])
-        components = []
-        for cp in payload["components"]:
-            rep = cp["report"]
-            report = l1.ConvergenceReport(
-                iterations=rep["iterations"], norm_trace=rep["norm_trace"],
-                terminated_by=rep["terminated_by"], rate_estimates=rep["rate_estimates"],
-                lagrange_multiplier=rep["lagrange_multiplier"],
-                zero_band_hits=rep.get("zero_band_hits", 0))
-            components.append(l1.ComponentModel(
-                sign_vector=np.asarray(cp["sign_vector"], dtype=float),
-                objective=cp["objective"], report=report,
-                train_scores=np.asarray(cp["train_scores"], dtype=float)))
-        train = _dataset_from(payload["train"]) if "train" in payload else None
+        components = [l1.ComponentModel(sign_vector=np.asarray(cp["sign_vector"], dtype=float),
+                                        objective=cp["objective"],
+                                        report=l1.ConvergenceReport(**cp["report"]),
+                                        train_scores=np.asarray(cp["train_scores"], dtype=float))
+                      for cp in payload["components"]]
+        if not components:
+            raise SchemaError("model file has no components")
+        n = components[0].sign_vector.size if train is None else train.n_samples
+        if any(comp.sign_vector.shape != (n,) or comp.train_scores.shape != (n,)
+               for comp in components):
+            raise SchemaError(f"component sign vectors and training scores must all have length {n}")
         return l1.KpcaModel(components=components, spec=spec, train_ref=train)
     if kind == "l2":
         spec = KernelSpec.from_dict(payload["spec"]) if "spec" in payload else None
-        train = _dataset_from(payload["train"]) if "train" in payload else None
-        return l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
-                             coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
-                             spec=spec, train_ref=train)
+        model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
+                              coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
+                              spec=spec, train_ref=train)
+        U = model.coefficient_vectors
+        if (U.ndim != 2 or model.eigenvalues.shape != (U.shape[1],)
+                or (train is not None and U.shape[0] != train.n_samples)):
+            raise SchemaError("eigenvalues, eigenvectors and training rows disagree in shape")
+        return model
     if kind == "detection":
         return detect.DetectionModel(
             score_matrix=np.asarray(payload["score_matrix"], dtype=float),

@@ -119,12 +119,12 @@ def _check_matrix(raw) -> np.ndarray:
     return mat
 
 
-def standardize(raw) -> Dataset:
+def standardize(raw, labels=None) -> Dataset:
     """Standardize each column to mean 0, sample std 1 (divisor n-1).
 
     Constant columns (and the single-sample case, where a sample std does
     not exist) map to zeros with a recorded std of 1 so that downstream
-    kernels see them as contributing nothing.
+    kernels see them as contributing nothing. labels ride along unchanged.
     """
     mat = _check_matrix(raw)
     means = mat.mean(axis=0)
@@ -133,7 +133,8 @@ def standardize(raw) -> Dataset:
     else:
         stds = np.zeros(mat.shape[1])
     stds = np.where(stds > 0, stds, 1.0)
-    return Dataset(values=(mat - means) / stds, column_means=means, column_stds=stds)
+    return Dataset(values=(mat - means) / stds, column_means=means, column_stds=stds,
+                   labels=labels)
 
 
 def standardize_with(raw, means, stds, labels=None) -> Dataset:

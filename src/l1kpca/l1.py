@@ -42,15 +42,22 @@ class FitOptions:
     seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
 
-    def resolve(self, K: np.ndarray) -> tuple[float, float]:
-        """The zero band 1e-12 * n * max|K| and the termination floor 1e-9 * max|K|."""
-        scale = _max_abs(K)
-        return 1e-12 * K.shape[0] * scale, 1e-9 * scale
 
-
-def _max_abs(K: np.ndarray) -> float:
+def _tolerances(K: np.ndarray) -> tuple[float, float]:
+    """The zero band 1e-12 * n * max|K| and the termination floor 1e-9 * max|K|."""
     # max|K| without materializing np.abs(K); K is O(n^2).
-    return float(max(K.max(), -K.min()))
+    scale = float(max(K.max(), -K.min()))
+    return 1e-12 * K.shape[0] * scale, 1e-9 * scale
+
+
+def _quadratic_form(K: np.ndarray, c: np.ndarray, tol_zero: float,
+                    message: str) -> tuple[np.ndarray, float]:
+    """Kc and c'Kc; raises DegenerateComponent(message.format(c'Kc)) inside the zero band."""
+    v = K @ c
+    s = float(c @ v)
+    if s <= tol_zero:
+        raise DegenerateComponent(message.format(s))
+    return v, s
 
 
 @dataclass
@@ -128,13 +135,13 @@ def sign_update(gram_matrix: GramMatrix, c) -> np.ndarray:
     """
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    tol_zero, _ = FitOptions().resolve(K)
+    tol_zero, _ = _tolerances(K)
     v = K @ c
     return np.where(np.abs(v) <= tol_zero, c, np.sign(v))
 
 
-def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
-                   eps_term: float, max_iter: int) -> list[dict]:
+def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
+                   max_iter: int) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
     All columns share one K @ C product on the first pass; afterwards a
@@ -142,8 +149,9 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
     skinny rank-update (delta @ K[flipped]) instead of a fresh gemv,
     and heavy-flip columns are recomputed together in one gemm. Each
     column's trajectory is the same as running it alone, so results do
-    not depend on batching or scheduling. Returns one result dict per
-    column; non-converged columns get terminated_by="max_iter".
+    not depend on batching or scheduling. Returns one (sign vector,
+    recorded objective c'Kc, report) record per column; a column without
+    a fixed point has terminated_by="max_iter" and objective NaN.
 
     The quadratic-form termination (dc'K dc <= eps_term, relevant only on
     semidefinite kernels where distinct sign vectors generate the same
@@ -158,7 +166,8 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
     # Per-column deferred state: previous s and previous v.c_next.
     prev_s = np.full(m, np.nan)
     prev_cross = np.full(m, np.nan)
-    out: list[dict | None] = [None] * m
+    # Per-column termination: (terminated_by, iterations, objective), or None.
+    out: list[tuple[str, int, float] | None] = [None] * m
     traces: list[list[float]] = [[] for _ in range(m)]
     rates: list[list[float]] = [[] for _ in range(m)]
     band_hits = np.zeros(m, dtype=int)
@@ -180,15 +189,13 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
             flipped = np.flatnonzero(c_next != c)
 
             if flipped.size == 0:
-                out[col] = {"terminated_by": "sign_fixed", "iterations": k + 1,
-                            "objective": s, "c": c.copy()}
+                out[col] = ("sign_fixed", k + 1, s)
                 continue
             # Deferred quadratic-form check for the previous pass.
             if k > 0:
                 q = prev_s[col] - 2.0 * prev_cross[col] + s
                 if q <= eps_term:
-                    out[col] = {"terminated_by": "quadratic_form_zero", "iterations": k,
-                                "objective": s, "c": c.copy()}
+                    out[col] = ("quadratic_form_zero", k, s)
                     continue
             prev_s[col] = s
             prev_cross[col] = float(v @ c_next)
@@ -206,38 +213,36 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
         if not active:
             break
 
-    results = []
+    records = []
     for col in range(m):
-        res = out[col]
-        if res is None:
-            res = {"terminated_by": "max_iter", "iterations": max_iter,
-                   "objective": np.nan, "c": C[:, col].copy()}
-        res["norm_trace"] = traces[col]
-        res["rate_estimates"] = rates[col]
-        res["zero_band_hits"] = int(band_hits[col])
-        results.append(res)
-    return results
-
-
-def _component_from_result(K: np.ndarray, res: dict, tol_zero: float) -> ComponentModel:
-    if res["terminated_by"] == "max_iter":
+        terminated_by, iterations, objective = out[col] or ("max_iter", max_iter, np.nan)
+        # The multiplier 1 / (2 * norm) exists only at a fixed point of nonzero norm.
+        norm = traces[col][-1] if out[col] else 0.0
         report = ConvergenceReport(
-            iterations=res["iterations"], norm_trace=res["norm_trace"],
-            terminated_by="max_iter", rate_estimates=res["rate_estimates"],
-            lagrange_multiplier=float("nan"), zero_band_hits=res["zero_band_hits"])
-        raise NonConvergence(f"no fixed point after {res['iterations']} iterations", report=report)
-    c = res["c"]
-    v = K @ c
-    s = float(c @ v)
-    if s <= tol_zero:
-        raise DegenerateComponent(f"objective {s:.3e} is numerically zero at termination")
-    report = ConvergenceReport(
-        iterations=res["iterations"], norm_trace=res["norm_trace"],
-        terminated_by=res["terminated_by"], rate_estimates=res["rate_estimates"],
-        lagrange_multiplier=1.0 / (2.0 * res["norm_trace"][-1]),
-        zero_band_hits=res["zero_band_hits"])
-    return ComponentModel(sign_vector=c, objective=s, report=report,
-                          train_scores=v / np.sqrt(s))
+            iterations=iterations, norm_trace=traces[col], terminated_by=terminated_by,
+            rate_estimates=rates[col],
+            lagrange_multiplier=1.0 / (2.0 * norm) if norm > 0 else np.nan,
+            zero_band_hits=int(band_hits[col]))
+        records.append((C[:, col].copy(), objective, report))
+    return records
+
+
+def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
+           max_iter: int) -> ComponentModel:
+    """One component from the starts in C0's columns: iterate, reduce, finalize.
+
+    Starts whose recorded objective clears the zero band compete on it
+    (ties: lowest start index); only the winner's Kc and c'Kc are
+    recomputed. With no such start, start 0 is finalized, which raises
+    its NonConvergence or DegenerateComponent.
+    """
+    records = _iterate_batch(K, C0, tol_zero, eps_term, max_iter)
+    usable = [idx for idx, (_, objective, _) in enumerate(records) if objective > tol_zero]
+    c, _, report = records[max(usable, key=lambda idx: records[idx][1], default=0)]
+    if report.terminated_by == "max_iter":
+        raise NonConvergence(f"no fixed point after {report.iterations} iterations", report=report)
+    v, s = _quadratic_form(K, c, tol_zero, "objective {:.3e} is numerically zero at termination")
+    return ComponentModel(sign_vector=c, objective=s, report=report, train_scores=v / np.sqrt(s))
 
 
 def fit_component(gram_matrix: GramMatrix, c0, options: FitOptions | None = None) -> ComponentModel:
@@ -252,9 +257,7 @@ def fit_component(gram_matrix: GramMatrix, c0, options: FitOptions | None = None
     opts = options or FitOptions()
     K = gram_matrix.entries
     c0 = validate_sign_vector(c0, K.shape[0])
-    tol_zero, eps_term = opts.resolve(K)
-    res = _iterate_batch(K, c0[:, None], tol_zero, eps_term, opts.max_iter)[0]
-    return _component_from_result(K, res, tol_zero)
+    return _solve(K, c0[:, None], *_tolerances(K), opts.max_iter)
 
 
 def default_start(K: np.ndarray, tol_zero: float) -> np.ndarray:
@@ -283,11 +286,8 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     """
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    tol_zero, _ = FitOptions().resolve(K)
-    v = K @ c
-    s = float(c @ v)
-    if s <= tol_zero:
-        raise DegenerateComponent(f"cannot deflate: objective {s:.3e} is numerically zero")
+    v, s = _quadratic_form(K, c, _tolerances(K)[0],
+                           "cannot deflate: objective {:.3e} is numerically zero")
     # outer(v, v) is exactly symmetric, so the difference stays exactly
     # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
     entries = np.outer(v, v)
@@ -300,11 +300,7 @@ def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
     """Principal scores of the training samples: Kc / sqrt(c'Kc)."""
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    tol_zero, _ = FitOptions().resolve(K)
-    v = K @ c
-    s = float(c @ v)
-    if s <= tol_zero:
-        raise DegenerateComponent(f"objective {s:.3e} is numerically zero")
+    v, s = _quadratic_form(K, c, _tolerances(K)[0], "objective {:.3e} is numerically zero")
     return v / np.sqrt(s)
 
 
@@ -329,7 +325,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     components: list[ComponentModel] = []
     for j in range(p):
         K = current.entries
-        tol_zero, eps_term = opts.resolve(K)
+        tol_zero, eps_term = _tolerances(K)
         first = default_start(K, tol_zero)
         if opts.starts > 1:
             # Per-component stream keyed on (seed, j) so component count
@@ -339,24 +335,11 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         else:
             C0 = first[:, None]
 
-        results = _iterate_batch(K, C0, tol_zero, eps_term, opts.max_iter)
-        # Reduce on recorded objectives first (deterministic: best value,
-        # ties to the lowest start index); only the winner is finalized.
-        best_idx = None
-        for idx, res in enumerate(results):
-            if res["terminated_by"] == "max_iter" or res["objective"] <= tol_zero:
-                continue
-            if best_idx is None or res["objective"] > results[best_idx]["objective"]:
-                best_idx = idx
-        if best_idx is None:
-            try:
-                _component_from_result(K, results[0], tol_zero)
-            except (DegenerateComponent, NonConvergence) as exc:
-                exc.args = (f"component {j}: {exc.args[0]}",)
-                raise
-            raise DegenerateComponent(f"component {j}: no usable start")  # pragma: no cover
-        best = _component_from_result(K, results[best_idx], tol_zero)
-
+        try:
+            best = _solve(K, C0, tol_zero, eps_term, opts.max_iter)
+        except (DegenerateComponent, NonConvergence) as exc:
+            exc.args = (f"component {j}: {exc.args[0]}",)
+            raise
         components.append(best)
         # The winner passed the zero band with deflate()'s own product, so
         # deflate() cannot refuse it. Nothing reads the last deflated matrix.
@@ -373,7 +356,11 @@ def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndar
     rows in the original (undeflated) feature coordinates; the deflation
     identity is replayed on it column by column.
     """
-    G = np.asarray(cross, dtype=float).copy()
+    G = np.asarray(cross, dtype=float)
+    n = components[0].sign_vector.shape[0]
+    if G.ndim != 2 or G.shape[1] != n:
+        raise InvalidData(f"expected matrix with {n} columns, got shape {G.shape}")
+    G = G.copy()
     cols = []
     for comp in components:
         q = (G @ comp.sign_vector) / np.sqrt(comp.objective)

@@ -166,6 +166,51 @@ def test_transform_rejects_detection_model_with_data_error(tmp_path, capsys):
     assert err.startswith("l1kpca: ") and "cannot score new samples" in err
 
 
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _drop_last(*path):
+    """Mutation that removes the last entry of the list at payload[path[0]][path[1]]..."""
+    def mutate(payload):
+        target = payload
+        for key in path:
+            target = target[key]
+        target.pop()
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize("command, mutate", [
+    ("fit", _without("components")),
+    ("fit", _without("spec")),
+    ("fit-l2", _without("eigenvalues")),
+    ("fit", lambda payload: [payload]),
+    ("fit", _drop_last("train", "values")),
+    ("fit", lambda payload: {**payload, "components": []}),
+    ("fit-l2", _drop_last("eigenvalues")),
+    ("fit", _drop_last("train", "column_stds")),
+], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
+        "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
+        "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width"])
+def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
+                                                                  command, mutate):
+    from l1kpca import SchemaError, read_model
+    _, normal = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "model.json"
+    code, _, _ = run_cli(capsys, command, "--data", str(normal), "--components", "2",
+                         "--model", str(model_path))
+    assert code == 0
+    model_path.write_text(json.dumps(mutate(json.loads(model_path.read_text()))))
+    with pytest.raises(SchemaError):
+        read_model(str(model_path))
+    code, out, err = run_cli(capsys, "transform", "--model", str(model_path),
+                             "--data", str(normal))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("l1kpca: ")
+
+
 def test_fit_l2_and_transform(tmp_path, capsys):
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "l2.json"

@@ -8,6 +8,7 @@ from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
                     gram, l2_fit, sign_update, train_scores, transform)
+from l1kpca import l1
 from l1kpca.l1 import chain_scores, default_start, random_starts, validate_sign_vector
 
 
@@ -219,7 +220,7 @@ def dense_reference_fit(K, p, opts):
     """The dense path: each start solved alone, K deflated by deflate()."""
     components = []
     for j in range(p):
-        tol_zero, _ = opts.resolve(K.entries)
+        tol_zero, _ = l1._tolerances(K.entries)
         starts = np.column_stack([default_start(K.entries, tol_zero),
                                   random_starts(K.n, opts.starts - 1, seed=[opts.seed, j])])
         candidates = []
@@ -264,6 +265,43 @@ def test_fit_component_count_validation(two_point_gram):
         fit(two_point_gram, 0)
     with pytest.raises(InvalidData):
         fit(two_point_gram, 3)
+
+
+def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
+    # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
+    _, K = make_instance(42, n=12, d=3)
+    with pytest.raises(DegenerateComponent,
+                       match=r"^component 0: objective \S+ is numerically zero at termination$"):
+        fit(K, 2, FitOptions(starts=1))
+
+
+def test_fit_nonconvergence_carries_component_index_and_report():
+    # An odd polynomial kernel: the row-sum start is not a fixed point.
+    data, _ = make_instance(7, n=40, d=6)
+    K = gram(KernelSpec("polynomial", degree=3, offset=0.0), data)
+    for starts in (1, 8):
+        with pytest.raises(NonConvergence,
+                           match=r"^component 0: no fixed point after 1 iterations$") as info:
+            fit(K, 2, FitOptions(starts=starts, max_iter=1))
+        report = info.value.report
+        assert report.terminated_by == "max_iter" and report.iterations == 1
+        assert len(report.norm_trace) == 1 and np.isnan(report.lagrange_multiplier)
+
+
+def test_fit_deflates_through_the_module_binding(monkeypatch):
+    # Tracing tools wrap l1.deflate; fit must call it once between components.
+    calls = []
+
+    def counting_deflate(gram_matrix, c):
+        calls.append(c)
+        return deflate(gram_matrix, c)
+
+    monkeypatch.setattr(l1, "deflate", counting_deflate)
+    _, K = make_instance(803, n=30, d=6, family="gaussian")
+    model = fit(K, 4, FitOptions(starts=4, seed=1))
+    assert len(calls) == 3
+    for comp, c in zip(model.components, calls):
+        npt.assert_array_equal(comp.sign_vector, c)
 
 
 def test_fit_degenerate_error_carries_component_index():
@@ -326,6 +364,14 @@ def test_chain_scores_matches_transform():
     model = fit(K, 2, FitOptions(starts=8, seed=0), train=data)
     G = cross_gram(model.spec, data, data)
     npt.assert_allclose(chain_scores(model.components, G), transform(model, data), atol=0)
+
+
+def test_both_model_kinds_reject_cross_gram_of_wrong_width():
+    _, K = make_instance(607, n=10, d=3)
+    for model in (fit(K, 2, FitOptions(starts=8, seed=0)), l2_fit(K, 2)):
+        for cross in (np.ones((4, 9)), np.ones((4, 11)), np.ones(10)):
+            with pytest.raises(InvalidData, match="expected matrix with 10 columns"):
+                model.scores(cross)
 
 
 def test_l1_and_l2_models_share_transform_and_detector():
