@@ -4,7 +4,7 @@ Subcommands: fit, fit-l2, transform, detect, synth, robustness, bench,
 oracle. Every run echoes its resolved configuration into the output
 header; identical argv (and seed) produce byte-identical output, except
 for bench's wall-clock fields. Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical error.
+otherwise the raised error's exit_code (3 data error, 4 numerical error).
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ import sys
 
 from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
-from .errors import (DegenerateComponent, InstanceTooLarge, InvalidData, L1KpcaError,
-                     NonConvergence, NumericalFailure, ParseError, SchemaError)
+from .errors import InvalidData, L1KpcaError
 from .kernel import KernelSpec, gram, standardize_with
 from .oracle import enumerate_sign_vectors
 
-DATA_ERRORS = (InvalidData, ParseError, SchemaError, InstanceTooLarge)
-NUMERICAL_ERRORS = (NonConvergence, DegenerateComponent, NumericalFailure)
 
-
-def _add_data_flags(parser, required=True):
-    parser.add_argument("--data", required=required, help="CSV file of samples")
+def _add_data_flags(parser):
+    parser.add_argument("--data", required=True, help="CSV file of samples")
     parser.add_argument("--header", action="store_true", help="first CSV row is a header")
     parser.add_argument("--label-column", default=None,
                         help="column (name or 0-based index) holding 0/1 or normal/outlier labels")
@@ -114,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("oracle", help="exhaustive optimum vs multi-start solver (n <= 20)")
     _add_data_flags(p)
     _add_kernel_flags(p)
-    p.add_argument("--limit", type=int, default=20)
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
 
     return parser
@@ -195,8 +190,7 @@ def _cmd_fit_l2(args) -> None:
 
 def _cmd_transform(args) -> None:
     model = model_io.read_model(args.model)
-    # A detection model file holds scores, not a kernel and training data.
-    train = getattr(model, "train_ref", None)
+    train = model.train_ref
     if train is None:
         raise InvalidData("model file lacks training data; it cannot score new samples")
     raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
@@ -215,7 +209,7 @@ def _cmd_detect(args) -> None:
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed), train=data)
     else:
         model = l2.l2_fit(K, p)
-    detector = detect.build_detector(model, data, threshold=args.threshold)
+    detector = detect.build_detector(model, data)
     scores = detect.outlier_scores(detector)
     payload = {"alpha": detector.alpha, "retained": detector.retained,
                "variances": detector.variances.tolist(), "scores": scores.tolist()}
@@ -275,7 +269,7 @@ def _cmd_oracle(args) -> None:
     data = _read_dataset(args)
     spec = _kernel_spec(args, data.n_features)
     K = gram(spec, data)
-    best = enumerate_sign_vectors(K, limit=args.limit)
+    best = enumerate_sign_vectors(K)
     model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective
     _emit(args, {"oracle_objective": best.best_objective,
@@ -294,15 +288,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except DATA_ERRORS as exc:
-        print(f"l1kpca: {exc}", file=sys.stderr)
-        return 3
-    except NUMERICAL_ERRORS as exc:
-        print(f"l1kpca: {exc}", file=sys.stderr)
-        return 4
     except L1KpcaError as exc:
         print(f"l1kpca: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     return 0
 
 

@@ -34,7 +34,6 @@ class DetectionModel:
     variances: np.ndarray
     alpha: float
     retained: list[int]
-    threshold: float | None = None
 
 
 @dataclass
@@ -121,7 +120,7 @@ def pr_auc(scores, labels) -> PRCurve:
     return PRCurve(points=points, auc=auc)
 
 
-def build_detector(model, data: Dataset, threshold: float | None = None) -> DetectionModel:
+def build_detector(model, data: Dataset) -> DetectionModel:
     """Detection model from an L1 or L2 kernel PCA model fit on this data.
 
     Training scores come straight from the fitted model; per-component
@@ -134,5 +133,4 @@ def build_detector(model, data: Dataset, threshold: float | None = None) -> Dete
     variances = Y.var(axis=0)
     alpha = select_alpha(variances)
     retained = _retained_indices(variances, alpha)
-    return DetectionModel(score_matrix=Y, variances=variances, alpha=alpha,
-                          retained=retained, threshold=threshold)
+    return DetectionModel(score_matrix=Y, variances=variances, alpha=alpha, retained=retained)

@@ -1,14 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: data-shaped problems (bad input,
-unparseable files, schema drift, oversized oracle instances) exit 3,
-numerical failures (non-convergence, degenerate components, eigensolver
-breakdown) exit 4.
+Each class carries the CLI exit status for it in its exit_code attribute:
+data-shaped problems (bad input, unparseable files, schema drift,
+oversized oracle instances) exit 3, numerical failures (non-convergence,
+degenerate components, eigensolver breakdown) exit 4.
 """
 
 
 class L1KpcaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; a data error unless a subclass says otherwise."""
+
+    exit_code = 3
 
 
 class InvalidData(L1KpcaError):
@@ -34,9 +36,13 @@ class SchemaError(L1KpcaError):
 class DegenerateComponent(L1KpcaError):
     """A component's quadratic form c'Kc is numerically zero (e.g. rank exhausted)."""
 
+    exit_code = 4
+
 
 class NonConvergence(L1KpcaError):
     """The fixed-point iteration hit max_iter; the partial report is attached."""
+
+    exit_code = 4
 
     def __init__(self, message, report=None):
         self.report = report
@@ -45,6 +51,8 @@ class NonConvergence(L1KpcaError):
 
 class NumericalFailure(L1KpcaError):
     """A backend numerical routine failed to converge."""
+
+    exit_code = 4
 
 
 class InstanceTooLarge(L1KpcaError):

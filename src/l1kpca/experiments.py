@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class RobustnessResult:
     noise_scale: float = 5.0
 
     def to_dict(self) -> dict:
-        return {"r_percent": self.r_percent, "kernel": self.kernel,
-                "tev_l1": self.tev_l1, "tev_l2": self.tev_l2, "p": self.p,
-                "seeds": self.seeds, "noise_scale": self.noise_scale}
+        return asdict(self)
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:

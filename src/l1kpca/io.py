@@ -3,9 +3,11 @@
 CSV files are comma-separated UTF-8, optionally with a header row and a
 label column ({0,1} or {normal,outlier}); read_csv_raw returns the values
 as written and read_csv standardizes them with their own statistics.
-Model files are versioned JSON ("l1kpca/1") holding the training data,
-kernel spec and per-component vectors; Gram matrices are never persisted,
-so files stay O(n*d + n*p) instead of O(n^2).
+Model files are versioned JSON ("l1kpca/1") of kind "l1" or "l2". One
+envelope serves both kinds: version, kind and kernel spec, then the
+kind's body (L1 components, or L2 eigenvalues and coefficient vectors),
+then the optional training data. Gram matrices are never persisted, so
+files stay O(n*d + n*p) instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidData, ParseError, SchemaError
 from .kernel import Dataset, KernelSpec, standardize
-from . import detect, l1, l2
+from . import l1, l2
 
 FORMAT_VERSION = "l1kpca/1"
 
@@ -148,29 +150,17 @@ def _component_payload(comp: l1.ComponentModel) -> dict:
 
 
 def write_model(model, path: str) -> None:
-    """Persist a fitted model (L1, L2, or detection) as versioned JSON."""
+    """Persist a fitted L1 or L2 model as versioned JSON."""
     if isinstance(model, l1.KpcaModel):
-        payload = {"version": FORMAT_VERSION, "kind": "l1",
-                   "spec": model.spec.to_dict(),
-                   "components": [_component_payload(c) for c in model.components]}
-        if model.train_ref is not None:
-            payload["train"] = _dataset_payload(model.train_ref)
+        kind, body = "l1", {"components": [_component_payload(c) for c in model.components]}
     elif isinstance(model, l2.EigenModel):
-        payload = {"version": FORMAT_VERSION, "kind": "l2",
-                   "eigenvalues": _array(model.eigenvalues),
-                   "coefficient_vectors": _array(model.coefficient_vectors)}
-        if model.spec is not None:
-            payload["spec"] = model.spec.to_dict()
-        if model.train_ref is not None:
-            payload["train"] = _dataset_payload(model.train_ref)
-    elif isinstance(model, detect.DetectionModel):
-        payload = {"version": FORMAT_VERSION, "kind": "detection",
-                   "score_matrix": _array(model.score_matrix),
-                   "variances": _array(model.variances),
-                   "alpha": model.alpha, "retained": model.retained,
-                   "threshold": model.threshold}
+        kind, body = "l2", {"eigenvalues": _array(model.eigenvalues),
+                            "coefficient_vectors": _array(model.coefficient_vectors)}
     else:
         raise InvalidData(f"unsupported model type {type(model).__name__}")
+    payload = {"version": FORMAT_VERSION, "kind": kind, "spec": model.spec.to_dict(), **body}
+    if model.train_ref is not None:
+        payload["train"] = _dataset_payload(model.train_ref)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
@@ -179,9 +169,9 @@ def read_model(path: str):
     """Load a model written by write_model.
 
     Raises ParseError on files that do not parse as JSON (truncation
-    included) and SchemaError on a version mismatch or a malformed model:
-    a missing or mistyped field, or vectors whose lengths disagree with
-    each other or with the stored training rows.
+    included) and SchemaError on a version mismatch, a kind other than
+    l1 / l2, or a malformed model: a missing or mistyped field, or vectors
+    whose lengths disagree with each other or with the stored training rows.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -206,9 +196,11 @@ def read_model(path: str):
 
 def _model_from(payload: dict):
     kind = payload.get("kind")
+    if kind not in ("l1", "l2"):
+        raise SchemaError(f"unknown model kind {kind!r}")
     train = _dataset_from(payload["train"]) if "train" in payload else None
+    spec = KernelSpec.from_dict(payload["spec"])
     if kind == "l1":
-        spec = KernelSpec.from_dict(payload["spec"])
         components = [l1.ComponentModel(sign_vector=np.asarray(cp["sign_vector"], dtype=float),
                                         objective=cp["objective"],
                                         report=l1.ConvergenceReport(**cp["report"]),
@@ -221,20 +213,11 @@ def _model_from(payload: dict):
                for comp in components):
             raise SchemaError(f"component sign vectors and training scores must all have length {n}")
         return l1.KpcaModel(components=components, spec=spec, train_ref=train)
-    if kind == "l2":
-        spec = KernelSpec.from_dict(payload["spec"]) if "spec" in payload else None
-        model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
-                              coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
-                              spec=spec, train_ref=train)
-        U = model.coefficient_vectors
-        if (U.ndim != 2 or model.eigenvalues.shape != (U.shape[1],)
-                or (train is not None and U.shape[0] != train.n_samples)):
-            raise SchemaError("eigenvalues, eigenvectors and training rows disagree in shape")
-        return model
-    if kind == "detection":
-        return detect.DetectionModel(
-            score_matrix=np.asarray(payload["score_matrix"], dtype=float),
-            variances=np.asarray(payload["variances"], dtype=float),
-            alpha=payload["alpha"], retained=list(payload["retained"]),
-            threshold=payload["threshold"])
-    raise SchemaError(f"unknown model kind {kind!r}")
+    model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
+                          coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
+                          spec=spec, train_ref=train)
+    U = model.coefficient_vectors
+    if (U.ndim != 2 or model.eigenvalues.shape != (U.shape[1],)
+            or (train is not None and U.shape[0] != train.n_samples)):
+        raise SchemaError("eigenvalues, eigenvectors and training rows disagree in shape")
+    return model

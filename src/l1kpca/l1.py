@@ -42,6 +42,10 @@ class FitOptions:
     seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise InvalidData(f"start count {self.starts} must be at least 1")
+
 
 def _tolerances(K: np.ndarray) -> tuple[float, float]:
     """The zero band 1e-12 * n * max|K| and the termination floor 1e-9 * max|K|."""
@@ -326,14 +330,10 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     for j in range(p):
         K = current.entries
         tol_zero, eps_term = _tolerances(K)
-        first = default_start(K, tol_zero)
-        if opts.starts > 1:
-            # Per-component stream keyed on (seed, j) so component count
-            # does not reshuffle earlier components' starts.
-            extra = random_starts(n, opts.starts - 1, seed=[opts.seed, j])
-            C0 = np.column_stack([first, extra])
-        else:
-            C0 = first[:, None]
+        # Random starts come from a per-component stream keyed on (seed, j)
+        # so component count does not reshuffle earlier components' starts.
+        C0 = np.column_stack([default_start(K, tol_zero),
+                              random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
 
         try:
             best = _solve(K, C0, tol_zero, eps_term, opts.max_iter)
@@ -374,6 +374,6 @@ def transform(model, query: Dataset) -> np.ndarray:
 
     The query must be standardized with the model's training statistics.
     """
-    if model.spec is None or model.train_ref is None:
-        raise InvalidData("model carries no kernel spec / training data; cannot score new samples")
+    if model.train_ref is None:
+        raise InvalidData("model carries no training data; cannot score new samples")
     return model.scores(cross_gram(model.spec, model.train_ref, query))

@@ -7,7 +7,7 @@ No feature-space centering (inputs are column-standardized instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,14 +21,15 @@ class EigenModel:
 
     eigenvalues are descending and nonnegative; coefficient_vectors is the
     n x p matrix of unit-norm eigenvectors, each column's sign fixed by
-    making its largest-magnitude entry positive. spec/train_ref are
-    optional attachments for persistence and out-of-sample scoring.
-    Shares training_scores() / scores(cross) with l1.KpcaModel.
+    making its largest-magnitude entry positive. spec is the kernel the
+    Gram came from; train_ref is the optional training data that
+    out-of-sample scoring needs. Shares training_scores() / scores(cross)
+    with l1.KpcaModel.
     """
 
     eigenvalues: np.ndarray
     coefficient_vectors: np.ndarray
-    spec: KernelSpec | None = None
+    spec: KernelSpec
     train_ref: Dataset | None = None
 
     @property
@@ -41,8 +42,8 @@ class EigenModel:
 
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
         """Scores of cross-Gram rows on the first p components (default all)."""
-        return l2_scores(EigenModel(eigenvalues=self.eigenvalues[:p],
-                                    coefficient_vectors=self.coefficient_vectors[:, :p]), cross)
+        return l2_scores(replace(self, eigenvalues=self.eigenvalues[:p],
+                                 coefficient_vectors=self.coefficient_vectors[:, :p]), cross)
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:

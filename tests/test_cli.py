@@ -150,20 +150,20 @@ def test_transform_standardizes_raw_query_once_with_training_statistics(tmp_path
 
 
 def test_transform_rejects_detection_model_with_data_error(tmp_path, capsys):
-    from l1kpca import FitOptions, KernelSpec, build_detector, fit, gram, standardize, write_model
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((12, 3))
-    data = standardize(raw)
-    model = fit(gram(KernelSpec("linear"), data), 2, FitOptions(seed=3), train=data)
+    # A hand-written file of the "detection" kind that earlier versions of
+    # the format accepted: it is refused as an unknown kind.
+    from l1kpca.io import FORMAT_VERSION
     det_path = tmp_path / "det.json"
-    write_model(build_detector(model, data), str(det_path))
+    det_path.write_text(json.dumps({"version": FORMAT_VERSION, "kind": "detection",
+                                    "score_matrix": [[1.0], [-1.0]], "variances": [1.0],
+                                    "alpha": 1.0, "retained": [0], "threshold": None}))
     query = tmp_path / "q.csv"
-    query.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in raw) + "\n")
+    query.write_text("1.0,2.0\n3.0,4.0\n")
     code, out, err = run_cli(capsys, "transform", "--model", str(det_path), "--data", str(query))
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("l1kpca: ") and "cannot score new samples" in err
+    assert err.startswith("l1kpca: ") and "unknown model kind 'detection'" in err
 
 
 def _without(key):
@@ -190,9 +190,11 @@ def _drop_last(*path):
     ("fit", lambda payload: {**payload, "components": []}),
     ("fit-l2", _drop_last("eigenvalues")),
     ("fit", _drop_last("train", "column_stds")),
+    ("fit-l2", _without("spec")),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
-        "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width"])
+        "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
+        "l2-without-spec"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model
@@ -285,6 +287,54 @@ def test_exit_code_4_on_numerical_errors(tmp_path, capsys):
                            "--model", str(tmp_path / "m.json"))
     assert code == 4
     assert "component" in err
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_fit_rejects_start_count_below_one_with_data_error(tmp_path, capsys, starts):
+    noisy, _ = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4",
+                             "--starts", starts, "--model", str(model_path))
+    assert code == 3
+    assert out == ""
+    assert err == f"l1kpca: start count {starts} must be at least 1\n"
+    assert not model_path.exists()
+
+
+def test_oracle_has_no_limit_flag(tmp_path, capsys):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=12)
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--data", str(noisy), "--label-column", "4", "--limit", "200"])
+    assert info.value.code == 2
+
+
+EXIT_CODES = {"L1KpcaError": 3, "InvalidData": 3, "ParseError": 3, "SchemaError": 3,
+              "InstanceTooLarge": 3, "DegenerateComponent": 4, "NonConvergence": 4,
+              "NumericalFailure": 4}
+
+
+def test_exit_code_table_covers_every_exported_error():
+    import l1kpca
+    exported = {name for name in l1kpca.__all__
+                if isinstance(getattr(l1kpca, name), type)
+                and issubclass(getattr(l1kpca, name), l1kpca.L1KpcaError)}
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name, expected", sorted(EXIT_CODES.items()))
+def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, name, expected):
+    import l1kpca
+    from l1kpca import cli
+
+    def fail(args):
+        raise getattr(l1kpca, name)("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+    code, out, err = run_cli(capsys, "synth", "--out-noisy", str(tmp_path / "a.csv"),
+                             "--out-normal", str(tmp_path / "b.csv"))
+    assert code == expected
+    assert out == ""
+    assert err == "l1kpca: boom\n"
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

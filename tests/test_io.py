@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import deflation_chain, make_instance
-from l1kpca import (DatasetFile, FitOptions, ParseError, SchemaError, build_detector,
-                    fit, gram, l2_fit, read_csv, read_model, transform, write_csv,
-                    write_model)
+from l1kpca import (DatasetFile, FitOptions, InvalidData, ParseError, SchemaError,
+                    build_detector, fit, gram, l2_fit, read_csv, read_model, transform,
+                    write_csv, write_model)
 from l1kpca.io import FORMAT_VERSION
 
 
@@ -96,18 +96,16 @@ def test_l2_model_round_trip(tmp_path):
     npt.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
     npt.assert_array_equal(loaded.coefficient_vectors, model.coefficient_vectors)
     npt.assert_array_equal(loaded.training_scores(), model.training_scores())
+    assert loaded.spec == model.spec
 
 
-def test_detection_model_round_trip(tmp_path):
+def test_write_model_refuses_detection_model(tmp_path):
     data, K = make_instance(4, n=12, d=4)
     det = build_detector(fit(K, 3, FitOptions(starts=8, seed=4), train=data), data)
     path = tmp_path / "det.json"
-    write_model(det, str(path))
-    loaded = read_model(str(path))
-    npt.assert_array_equal(loaded.score_matrix, det.score_matrix)
-    npt.assert_array_equal(loaded.variances, det.variances)
-    assert loaded.alpha == det.alpha
-    assert loaded.retained == det.retained
+    with pytest.raises(InvalidData, match="unsupported model type DetectionModel"):
+        write_model(det, str(path))
+    assert not path.exists()
 
 
 def test_version_mismatch_raises_schema_error(tmp_path):

@@ -267,6 +267,12 @@ def test_fit_component_count_validation(two_point_gram):
         fit(two_point_gram, 3)
 
 
+@pytest.mark.parametrize("starts", [0, -3])
+def test_fit_options_reject_start_count_below_one(starts):
+    with pytest.raises(InvalidData, match=rf"^start count {starts} must be at least 1$"):
+        FitOptions(starts=starts)
+
+
 def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
     # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
     _, K = make_instance(42, n=12, d=3)
