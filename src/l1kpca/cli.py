@@ -146,6 +146,7 @@ def _config_echo(args) -> dict:
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) -> None:
+    # csv_rows may be a generator: it is consumed only for --format csv.
     if args.format == "csv" and csv_rows is not None:
         lines = ["# " + json.dumps(_config_echo(args))]
         if csv_header:
@@ -196,7 +197,7 @@ def _cmd_transform(args) -> None:
     raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
     scores = l1.transform(model, standardize_with(raw, train.column_means, train.column_stds))
     _emit(args, {"scores": scores.tolist()},
-          csv_rows=[[repr(float(v)) for v in row] for row in scores],
+          csv_rows=([repr(float(v)) for v in row] for row in scores),
           csv_header=[f"score_{j}" for j in range(scores.shape[1])])
 
 
@@ -220,7 +221,7 @@ def _cmd_detect(args) -> None:
         payload["pr_curve"] = curve.points
         payload["auc"] = curve.auc
     _emit(args, payload,
-          csv_rows=[[i, repr(float(s))] for i, s in enumerate(scores)],
+          csv_rows=([i, repr(float(s))] for i, s in enumerate(scores)),
           csv_header=["sample", "score"])
 
 

@@ -162,7 +162,8 @@ def write_model(model, path: str) -> None:
     if model.train_ref is not None:
         payload["train"] = _dataset_payload(model.train_ref)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # One C-encoder call; json.dump streams through the pure-Python encoder.
+        fh.write(json.dumps(payload))
 
 
 def read_model(path: str):

@@ -23,12 +23,12 @@ rho(c) = c'Kc / sum|Kc| <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NonConvergence
-from .kernel import Dataset, GramMatrix, KernelSpec, cross_gram
+from .kernel import Dataset, GramMatrix, KernelSpec, _tile_rows, cross_gram
 
 DEFAULT_MAX_ITER = 1000
 DEFAULT_STARTS = 8
@@ -317,7 +317,8 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     of one batched iteration), keeps the candidate with the largest
     objective (ties: lowest start index), then deflates the kernel.
     Components are ordered by extraction order. Errors carry the index of
-    the component that failed.
+    the component that failed; a component past the kernel's rank raises
+    DegenerateComponent.
     """
     opts = options or FitOptions()
     K = gram_matrix.entries
@@ -325,11 +326,14 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     if not 1 <= p <= n:
         raise InvalidData(f"component count {p} not in [1, {n}]")
 
+    # The zero band and termination floor scale with the undeflated K: a
+    # deflated K_j's own max|K_j| shrinks to rounding noise once the
+    # kernel's rank is used up, and a band scaled to it would pass noise.
+    tol_zero, eps_term = _tolerances(K)
     current = gram_matrix
     components: list[ComponentModel] = []
     for j in range(p):
         K = current.entries
-        tol_zero, eps_term = _tolerances(K)
         # Random starts come from a per-component stream keyed on (seed, j)
         # so component count does not reshuffle earlier components' starts.
         C0 = np.column_stack([default_start(K, tol_zero),
@@ -341,8 +345,9 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise
         components.append(best)
-        # The winner passed the zero band with deflate()'s own product, so
-        # deflate() cannot refuse it. Nothing reads the last deflated matrix.
+        # The winner cleared K's band with deflate()'s own product, and on a
+        # positive semidefinite kernel max|K_j| <= max|K|, so deflate() cannot
+        # refuse it. Nothing reads the last deflated matrix.
         if j + 1 < p:
             current = deflate(current, best.sign_vector)
 
@@ -352,28 +357,41 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
 def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndarray:
     """Score query rows against a component sequence via cross-Gram deflation.
 
-    cross holds kernel evaluations between query rows and the training
-    rows in the original (undeflated) feature coordinates; the deflation
-    identity is replayed on it column by column.
+    cross holds kernel evaluations G between query rows and the training
+    rows in the original (undeflated) feature coordinates. Component j
+    scores the rows through the deflated cross-Gram
+    G_j = G - sum_{i<j} q_i t_i', where t_i are the training scores, so
+
+        q_j = (G c_j - sum_{i<j} q_i (t_i . c_j)) / sqrt(s_j).
+
+    All p scores thus come from the one product G C plus a p x p
+    triangular recurrence on B = T'C; G is neither copied nor deflated.
     """
     G = np.asarray(cross, dtype=float)
     n = components[0].sign_vector.shape[0]
     if G.ndim != 2 or G.shape[1] != n:
         raise InvalidData(f"expected matrix with {n} columns, got shape {G.shape}")
-    G = G.copy()
-    cols = []
-    for comp in components:
-        q = (G @ comp.sign_vector) / np.sqrt(comp.objective)
-        cols.append(q)
-        G -= np.outer(q, comp.train_scores)
-    return np.column_stack(cols)
+    C = np.column_stack([comp.sign_vector for comp in components])
+    B = np.column_stack([comp.train_scores for comp in components]).T @ C
+    Q = G @ C
+    for j, comp in enumerate(components):
+        Q[:, j] = (Q[:, j] - Q[:, :j] @ B[:j, j]) / np.sqrt(comp.objective)
+    return Q
 
 
 def transform(model, query: Dataset) -> np.ndarray:
     """m x p score matrix of query samples under an L1 or L2 model.
 
     The query must be standardized with the model's training statistics.
+    Query rows are scored one row tile (about 1 MB of cross-Gram entries)
+    at a time, so memory holds one tile plus the m x p result.
     """
-    if model.train_ref is None:
+    train = model.train_ref
+    if train is None:
         raise InvalidData("model carries no training data; cannot score new samples")
-    return model.scores(cross_gram(model.spec, model.train_ref, query))
+    m, step = query.n_samples, _tile_rows(train.n_samples)
+    out = np.empty((m, model.n_components))
+    for a in range(0, m, step):
+        tile = replace(query, values=query.values[a:a + step], labels=None)
+        out[a:a + step] = model.scores(cross_gram(model.spec, train, tile))
+    return out

@@ -56,9 +56,12 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     """Top-p eigenpairs of K, eigenvalues descending.
 
+    Eigenvalues inside the zero band (<= 1e-12 * n * the largest) are
+    rounding noise past the kernel's rank and are clipped to zero, so
+    scoring on them raises DegenerateComponent.
     Slightly negative eigenvalues (magnitude <= 1e-8 * the largest) are
-    clipped to zero; anything more negative among the top p means the
-    kernel is not positive semidefinite and raises InvalidData.
+    clipped too; anything more negative among the top p means the kernel
+    is not positive semidefinite and raises InvalidData.
     """
     K = gram_matrix.entries
     n = K.shape[0]
@@ -74,10 +77,9 @@ def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     top = float(mu[0])
     if top < 0:
         raise InvalidData("kernel matrix has no nonnegative eigenvalue")
-    negative = mu < 0
     if np.any(mu < -1e-8 * max(top, 1e-300)):
         raise InvalidData(f"kernel matrix is not positive semidefinite (eigenvalue {mu.min():.3e})")
-    mu = np.where(negative, 0.0, mu)
+    mu = np.where(mu <= 1e-12 * n * top, 0.0, mu)
     return EigenModel(eigenvalues=mu, coefficient_vectors=U, spec=gram_matrix.spec)
 
 

@@ -1,15 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
                     gram, l2_fit, sign_update, train_scores, transform)
-from l1kpca import l1
-from l1kpca.l1 import chain_scores, default_start, random_starts, validate_sign_vector
+from l1kpca import kernel, l1
+from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
+                       random_starts, validate_sign_vector)
+from l1kpca.l2 import EigenModel
 
 
 def brute_force_objectives(K):
@@ -320,6 +324,16 @@ def test_fit_degenerate_error_carries_component_index():
     assert "component" in str(info.value)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_past_the_kernel_rank_raises_degenerate_component(seed):
+    # A standardized 14 x 5 linear kernel has rank 5: the zero band scales
+    # with the undeflated kernel, so the 6th component's noise is refused.
+    _, K = make_instance(seed, n=14, d=5)
+    assert fit(K, 5, FitOptions(seed=seed)).n_components == 5
+    with pytest.raises(DegenerateComponent, match="component 5"):
+        fit(K, 6, FitOptions(seed=seed))
+
+
 # ----------------------------------------------------------------- transform
 
 def test_transform_on_training_data_reproduces_train_scores():
@@ -370,6 +384,84 @@ def test_chain_scores_matches_transform():
     model = fit(K, 2, FitOptions(starts=8, seed=0), train=data)
     G = cross_gram(model.spec, data, data)
     npt.assert_allclose(chain_scores(model.components, G), transform(model, data), atol=0)
+
+
+def replayed_chain_scores(components, cross):
+    """Reference: deflate a copy of the cross-Gram by each component in turn."""
+    G = np.array(cross, dtype=float)
+    cols = []
+    for comp in components:
+        q = (G @ comp.sign_vector) / np.sqrt(comp.objective)
+        cols.append(q)
+        G -= np.outer(q, comp.train_scores)
+    return np.column_stack(cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]),
+       n=st.integers(2, 30), d=st.integers(1, 6), m=st.integers(1, 12),
+       p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_chain_scores_match_sequential_cross_gram_deflation(family, n, d, m, p, seed):
+    data, K = make_instance(seed, n=n, d=d, family=family)
+    p = min(p, n, d) if family == "linear" else min(p, n)
+    try:
+        model = fit(K, p, FitOptions(starts=4, seed=seed), train=data)
+    except DegenerateComponent:
+        return  # a kernel of lower rank than p has nothing to score
+    query = raw_dataset(np.random.default_rng(seed).standard_normal((m, d)))
+    G = cross_gram(model.spec, data, query)
+    expected = replayed_chain_scores(model.components, G)
+    npt.assert_allclose(chain_scores(model.components, G), expected,
+                        rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+def fitted_models(n=13, d=4, p=3):
+    """An L1 and an L2 model of one gaussian instance, both carrying the training data."""
+    data, K = make_instance(608, n=n, d=d, family="gaussian", sigma=2.0)
+    l2_model = l2_fit(K, p)
+    l2_model.train_ref = data
+    return data, (fit(K, p, FitOptions(starts=4, seed=0), train=data), l2_model)
+
+
+@pytest.mark.parametrize("tile_rows,m", [(1, 7), (3, 10), (4, 12), (None, 10), (1, 1), (None, 1)])
+def test_transform_query_tiles_equal_one_cross_gram(monkeypatch, tile_rows, m):
+    # One-row tiles, a ragged last tile, even tiles, the default single tile, one query row.
+    data, models = fitted_models()
+    if tile_rows is not None:
+        monkeypatch.setattr(kernel, "_TILE_BYTES", 8 * data.n_samples * tile_rows)
+    query = raw_dataset(np.random.default_rng(609).standard_normal((m, data.n_features)))
+    for model in models:
+        expected = model.scores(cross_gram(model.spec, data, query))
+        # A tile's G @ C may take another BLAS blocking than the whole product.
+        npt.assert_allclose(transform(model, query), expected,
+                            rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_transform_peak_memory_is_one_query_tile_plus_scores():
+    # The m x n cross-Gram alone would be 72 MB.
+    n = m = 3000
+    d, p = 50, 10
+    rng = np.random.default_rng(610)
+    train = raw_dataset(rng.standard_normal((n, d)))
+    query = raw_dataset(rng.standard_normal((m, d)))
+    report = ConvergenceReport(iterations=1, norm_trace=[], terminated_by="sign_fixed",
+                               rate_estimates=[], lagrange_multiplier=1.0)
+    components = [ComponentModel(sign_vector=np.sign(rng.standard_normal(n)) + 0.0,
+                                 objective=float(n), report=report,
+                                 train_scores=rng.standard_normal(n)) for _ in range(p)]
+    U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    models = (KpcaModel(components=components, spec=KernelSpec("linear"), train_ref=train),
+              EigenModel(eigenvalues=np.linspace(2.0, 1.0, p), coefficient_vectors=U,
+                         spec=KernelSpec("gaussian", sigma=float(d)), train_ref=train))
+    for model in models:
+        tracemalloc.start()
+        try:
+            scores = transform(model, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (m, p)
+        assert peak <= 16 * 2**20
 
 
 def test_both_model_kinds_reject_cross_gram_of_wrong_width():

@@ -109,6 +109,17 @@ def test_scores_reject_zero_eigenvalue():
         l2_scores(model, K.entries)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_eigenvalues_past_the_kernel_rank_are_zero_and_refuse_scoring(seed):
+    _, K = make_instance(seed, n=12, d=3)  # standardized linear: rank 3
+    model = l2_fit(K, 5)
+    assert np.all(model.eigenvalues[:3] > 0)
+    npt.assert_array_equal(model.eigenvalues[3:], 0.0)
+    assert model.scores(K.entries, 3).shape == (12, 3)
+    with pytest.raises(DegenerateComponent):
+        model.scores(K.entries)
+
+
 def test_scores_reject_wrong_width(two_point_gram):
     model = l2_fit(two_point_gram, 1)
     with pytest.raises(InvalidData):
