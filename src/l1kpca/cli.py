@@ -122,10 +122,6 @@ def _dataset_file(args, path: str) -> model_io.DatasetFile:
     return model_io.DatasetFile(path=path, has_header=args.header, label_column=label)
 
 
-def _read_dataset(args):
-    return model_io.read_csv(_dataset_file(args, args.data))
-
-
 def _spec(kernel: str, sigma: float | None, n_features: int,
           degree: int = 2, offset: float = 1.0) -> KernelSpec:
     """Kernel spec from CLI values; the gaussian width defaults to the feature count."""
@@ -138,6 +134,12 @@ def _spec(kernel: str, sigma: float | None, n_features: int,
 
 def _kernel_spec(args, n_features: int) -> KernelSpec:
     return _spec(args.kernel, args.sigma, n_features, args.degree, args.offset)
+
+
+def _data_and_gram(args):
+    """The standardized --data file and its Gram matrix under the kernel flags."""
+    data = model_io.read_csv(_dataset_file(args, args.data))
+    return data, gram(_kernel_spec(args, data.n_features), data)
 
 
 def _config_echo(args) -> dict:
@@ -168,9 +170,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) 
 
 
 def _cmd_fit(args) -> None:
-    data = _read_dataset(args)
-    spec = _kernel_spec(args, data.n_features)
-    K = gram(spec, data)
+    data, K = _data_and_gram(args)
     opts = l1.FitOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
     model = l1.fit(K, args.components, opts, train=data)
     model_io.write_model(model, args.model)
@@ -180,9 +180,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_fit_l2(args) -> None:
-    data = _read_dataset(args)
-    spec = _kernel_spec(args, data.n_features)
-    K = gram(spec, data)
+    data, K = _data_and_gram(args)
     model = l2.l2_fit(K, args.components)
     model.train_ref = data
     model_io.write_model(model, args.model)
@@ -202,9 +200,7 @@ def _cmd_transform(args) -> None:
 
 
 def _cmd_detect(args) -> None:
-    data = _read_dataset(args)
-    spec = _kernel_spec(args, data.n_features)
-    K = gram(spec, data)
+    data, K = _data_and_gram(args)
     p = args.components if args.components is not None else min(data.n_samples, data.n_features, 50)
     if args.method == "l1":
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed), train=data)
@@ -237,7 +233,10 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_robustness(args) -> None:
-    r_values = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
+    try:
+        r_values = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise InvalidData(f"--grid {args.grid!r} is not a comma-separated list of numbers") from None
     spec = _kernel_spec(args, args.d)
     cfg = experiments.SynthConfig(n=args.n, d=args.d, rank=args.rank,
                                   noise_scale=args.noise_scale, seed=args.seed)
@@ -267,9 +266,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    data = _read_dataset(args)
-    spec = _kernel_spec(args, data.n_features)
-    K = gram(spec, data)
+    data, K = _data_and_gram(args)
     best = enumerate_sign_vectors(K)
     model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective

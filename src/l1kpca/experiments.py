@@ -148,8 +148,11 @@ def robustness_sweep(r_values, specs, cfg: SynthConfig = SynthConfig(), p: int =
 
     Per-cell datasets are seeded from (cfg.seed, cell index), so serial
     and threaded runs produce identical rows; rows are emitted in grid
-    order regardless of completion order.
+    order regardless of completion order. A seed count below 1 raises
+    InvalidData: a cell with no instance has no mean.
     """
+    if n_seeds < 1:
+        raise InvalidData(f"seed count {n_seeds} must be at least 1")
     cells = [(r, spec) for spec in specs for r in r_values]
     seed_lists = [[int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31))
                    for k in range(n_seeds)] for idx in range(len(cells))]

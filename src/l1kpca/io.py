@@ -139,6 +139,8 @@ def _dataset_from(payload: dict) -> Dataset:
             or data.column_stds.shape != (data.n_features,)
             or (data.labels is not None and data.labels.shape != (data.n_samples,))):
         raise SchemaError("training data arrays disagree in shape")
+    if not np.all(np.isfinite(data.column_stds) & (data.column_stds > 0)):
+        raise SchemaError("training column stds must be finite and positive")
     return data
 
 
@@ -171,8 +173,10 @@ def read_model(path: str):
 
     Raises ParseError on files that do not parse as JSON (truncation
     included) and SchemaError on a version mismatch, a kind other than
-    l1 / l2, or a malformed model: a missing or mistyped field, or vectors
-    whose lengths disagree with each other or with the stored training rows.
+    l1 / l2, or a malformed model: a missing or mistyped field, vectors
+    whose lengths disagree with each other or with the stored training rows,
+    a sign-vector entry other than -1 / +1, an objective that is not finite
+    and positive, or a training column std that is not finite and positive.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -203,7 +207,7 @@ def _model_from(payload: dict):
     spec = KernelSpec.from_dict(payload["spec"])
     if kind == "l1":
         components = [l1.ComponentModel(sign_vector=np.asarray(cp["sign_vector"], dtype=float),
-                                        objective=cp["objective"],
+                                        objective=float(cp["objective"]),
                                         report=l1.ConvergenceReport(**cp["report"]),
                                         train_scores=np.asarray(cp["train_scores"], dtype=float))
                       for cp in payload["components"]]
@@ -213,6 +217,10 @@ def _model_from(payload: dict):
         if any(comp.sign_vector.shape != (n,) or comp.train_scores.shape != (n,)
                for comp in components):
             raise SchemaError(f"component sign vectors and training scores must all have length {n}")
+        if any(np.any(np.abs(comp.sign_vector) != 1.0) for comp in components):
+            raise SchemaError("sign vector entries must be exactly -1 or +1")
+        if not all(0 < comp.objective < np.inf for comp in components):
+            raise SchemaError("component objectives must be finite and positive")
         return l1.KpcaModel(components=components, spec=spec, train_ref=train)
     model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
                           coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),

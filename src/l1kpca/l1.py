@@ -12,13 +12,14 @@ kernel matrix is deflated to remove an extracted direction via
 
     K  <-  K - (Kc)(Kc)' / s.
 
-Multiple components come from repeating the solve on the deflated kernel;
-out-of-sample scores come from applying the same deflation identity to a
-cross-Gram matrix, so a fitted model keeps only sign vectors, objectives
-and training scores. The iteration is well-behaved: the iterate norm
-sqrt(c'Kc) / sum|Kc| never increases, the loop reaches a fixed point in
-finitely many steps, and each step contracts the norm by the ratio
-rho(c) = c'Kc / sum|Kc| <= 1.
+Multiple components come from repeating the solve on the deflated kernel.
+Out-of-sample scores apply the same deflation identity to a cross-Gram
+matrix G. The identity is linear in G, so a model's scores are G W with
+one n x p map W built from the sign vectors, objectives and training
+scores, which is all a fitted model keeps. The iteration is well-behaved:
+the iterate norm sqrt(c'Kc) / sum|Kc| never increases, the loop reaches a
+fixed point in finitely many steps, and each step contracts the norm by
+the ratio rho(c) = c'Kc / sum|Kc| <= 1.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class ComponentModel:
 class KpcaModel:
     """Ordered components, the kernel they were fit with, and the training data.
 
-    Shares training_scores() / scores(cross) with l2.EigenModel, so
-    transform() and detection take either model.
+    Shares training_scores() / projection(p) / scores(cross) with
+    l2.EigenModel, so transform() and detection take either model.
     """
 
     components: list[ComponentModel]
@@ -113,9 +114,23 @@ class KpcaModel:
         """n x p matrix stacking each component's training scores."""
         return np.column_stack([comp.train_scores for comp in self.components])
 
+    def projection(self, p: int | None = None) -> np.ndarray:
+        """n x p map W that scores the first p components (default all) as cross @ W."""
+        return _chain_map(self.components[:p])
+
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
         """Scores of cross-Gram rows on the first p components (default all)."""
-        return chain_scores(self.components[:p], cross)
+        return _project(cross, self.projection(p))
+
+
+def _project(cross: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """cross @ W, after checking cross is a matrix with one column per row of W.
+
+    The one scoring product of both model kinds: W is a model's projection().
+    """
+    if np.ndim(cross) != 2 or np.shape(cross)[1] != W.shape[0]:
+        raise InvalidData(f"expected matrix with {W.shape[0]} columns, got shape {np.shape(cross)}")
+    return np.asarray(cross, dtype=float) @ W
 
 
 def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
@@ -354,44 +369,53 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     return KpcaModel(components=components, spec=gram_matrix.spec, train_ref=train)
 
 
+def _chain_map(components: list[ComponentModel]) -> np.ndarray:
+    """The n x p linear map W that scores cross-Gram rows: scores = G W.
+
+    Component j scores query rows through the deflated cross-Gram
+    G_j = G - sum_{i<j} q_i t_i', where t_i are the training scores, so
+    q_j = G w_j with
+
+        w_j = (c_j - sum_{i<j} w_i (t_i . c_j)) / sqrt(s_j).
+
+    W is triangular in the components: the map of the first p components
+    is the first p columns of the full map.
+    """
+    W = np.array([comp.sign_vector for comp in components], dtype=float).T
+    B = np.column_stack([comp.train_scores for comp in components]).T @ W
+    # In place: columns before j already hold w_i, column j still holds c_j.
+    for j, comp in enumerate(components):
+        W[:, j] = (W[:, j] - W[:, :j] @ B[:j, j]) / np.sqrt(comp.objective)
+    return W
+
+
 def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndarray:
     """Score query rows against a component sequence via cross-Gram deflation.
 
     cross holds kernel evaluations G between query rows and the training
-    rows in the original (undeflated) feature coordinates. Component j
-    scores the rows through the deflated cross-Gram
-    G_j = G - sum_{i<j} q_i t_i', where t_i are the training scores, so
-
-        q_j = (G c_j - sum_{i<j} q_i (t_i . c_j)) / sqrt(s_j).
-
-    All p scores thus come from the one product G C plus a p x p
-    triangular recurrence on B = T'C; G is neither copied nor deflated.
+    rows in the original (undeflated) feature coordinates. The scores are
+    the one product G W with the map W of KpcaModel.projection; G is
+    neither copied nor deflated.
     """
-    G = np.asarray(cross, dtype=float)
-    n = components[0].sign_vector.shape[0]
-    if G.ndim != 2 or G.shape[1] != n:
-        raise InvalidData(f"expected matrix with {n} columns, got shape {G.shape}")
-    C = np.column_stack([comp.sign_vector for comp in components])
-    B = np.column_stack([comp.train_scores for comp in components]).T @ C
-    Q = G @ C
-    for j, comp in enumerate(components):
-        Q[:, j] = (Q[:, j] - Q[:, :j] @ B[:j, j]) / np.sqrt(comp.objective)
-    return Q
+    return _project(cross, _chain_map(components))
 
 
 def transform(model, query: Dataset) -> np.ndarray:
     """m x p score matrix of query samples under an L1 or L2 model.
 
     The query must be standardized with the model's training statistics.
-    Query rows are scored one row tile (about 1 MB of cross-Gram entries)
-    at a time, so memory holds one tile plus the m x p result.
+    The model's projection W is built once; query rows are then scored one
+    row tile (about 1 MB of cross-Gram entries) at a time, each with the
+    one product tile @ W, so memory holds one tile plus W and the m x p
+    result.
     """
     train = model.train_ref
     if train is None:
         raise InvalidData("model carries no training data; cannot score new samples")
+    W = model.projection()
     m, step = query.n_samples, _tile_rows(train.n_samples)
-    out = np.empty((m, model.n_components))
+    out = np.empty((m, W.shape[1]))
     for a in range(0, m, step):
         tile = replace(query, values=query.values[a:a + step], labels=None)
-        out[a:a + step] = model.scores(cross_gram(model.spec, train, tile))
+        out[a:a + step] = _project(cross_gram(model.spec, train, tile), W)
     return out

@@ -7,12 +7,13 @@ No feature-space centering (inputs are column-standardized instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NumericalFailure
 from .kernel import Dataset, GramMatrix, KernelSpec
+from .l1 import _project
 
 
 @dataclass
@@ -23,8 +24,8 @@ class EigenModel:
     n x p matrix of unit-norm eigenvectors, each column's sign fixed by
     making its largest-magnitude entry positive. spec is the kernel the
     Gram came from; train_ref is the optional training data that
-    out-of-sample scoring needs. Shares training_scores() / scores(cross)
-    with l1.KpcaModel.
+    out-of-sample scoring needs. Shares training_scores() / projection(p) /
+    scores(cross) with l1.KpcaModel.
     """
 
     eigenvalues: np.ndarray
@@ -40,10 +41,20 @@ class EigenModel:
         """Training scores without re-projecting: column j is sqrt(mu_j) u_j."""
         return self.coefficient_vectors * np.sqrt(self.eigenvalues)
 
+    def projection(self, p: int | None = None) -> np.ndarray:
+        """n x p map W scoring the first p components (default all) as cross @ W.
+
+        Column j is u_j / sqrt(mu_j); a zero eigenvalue among the first p
+        raises DegenerateComponent.
+        """
+        mu = self.eigenvalues[:p]
+        if np.any(mu <= 0):
+            raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
+        return self.coefficient_vectors[:, :p] / np.sqrt(mu)
+
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
         """Scores of cross-Gram rows on the first p components (default all)."""
-        return l2_scores(replace(self, eigenvalues=self.eigenvalues[:p],
-                                 coefficient_vectors=self.coefficient_vectors[:, :p]), cross)
+        return _project(cross, self.projection(p))
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -88,12 +99,4 @@ def l2_scores(model: EigenModel, gram_or_cross: np.ndarray) -> np.ndarray:
 
     On the training Gram itself this reduces to sqrt(mu_j) u_j.
     """
-    G = np.asarray(gram_or_cross, dtype=float)
-    n = model.coefficient_vectors.shape[0]
-    if G.ndim != 2 or G.shape[1] != n:
-        raise InvalidData(f"expected matrix with {n} columns, got shape {G.shape}")
-    mu = model.eigenvalues
-    if np.any(mu <= 0):
-        raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
-    return (G @ model.coefficient_vectors) / np.sqrt(mu)
-
+    return model.scores(gram_or_cross)

@@ -170,6 +170,17 @@ def _without(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
 
+def _set(value, *path):
+    """Mutation that sets payload[path[0]][path[1]]... to value."""
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+    return mutate
+
+
 def _drop_last(*path):
     """Mutation that removes the last entry of the list at payload[path[0]][path[1]]..."""
     def mutate(payload):
@@ -191,10 +202,15 @@ def _drop_last(*path):
     ("fit-l2", _drop_last("eigenvalues")),
     ("fit", _drop_last("train", "column_stds")),
     ("fit-l2", _without("spec")),
+    ("fit", _set("x", "components", 0, "objective")),
+    ("fit", _set(-4.0, "components", 0, "objective")),
+    ("fit", _set(7, "components", 1, "sign_vector", 3)),
+    ("fit", _set(0.0, "train", "column_stds", 2)),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
         "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
-        "l2-without-spec"])
+        "l2-without-spec", "l1-objective-not-a-number", "l1-objective-negative",
+        "l1-sign-entry-not-unit", "training-std-zero"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model
@@ -211,6 +227,20 @@ def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, caps
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("l1kpca: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--grid", "5,abc"), "--grid '5,abc' is not a comma-separated list of numbers"),
+    (("--seeds", "0"), "seed count 0 must be at least 1"),
+    (("--seeds", "-2"), "seed count -2 must be at least 1"),
+], ids=["non-numeric-grid", "zero-seeds", "negative-seeds"])
+def test_robustness_rejects_bad_grid_or_seed_count_with_data_error(capsys, flags, message):
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "robustness", *flags, "--n", "24", "--d", "4",
+                                 "--rank", "2", "--p", "2", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == f"l1kpca: {message}\n"
 
 
 def test_fit_l2_and_transform(tmp_path, capsys):

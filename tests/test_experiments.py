@@ -184,6 +184,12 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
     assert row.tev_l2 == float(np.mean(tev2))
 
 
+@pytest.mark.parametrize("n_seeds", [0, -2])
+def test_sweep_rejects_seed_count_below_one(n_seeds):
+    with pytest.raises(InvalidData, match=f"seed count {n_seeds} must be at least 1"):
+        robustness_sweep([10.0], [KernelSpec("linear")], n_seeds=n_seeds)
+
+
 def test_sweep_rows_cover_grid_in_order():
     cfg = SynthConfig(n=30, d=4, rank=2, seed=12)
     rows = robustness_sweep([5.0, 25.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=1)

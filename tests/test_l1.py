@@ -379,6 +379,13 @@ def test_transform_rejects_feature_mismatch():
         transform(model, raw_dataset(np.ones((2, 5))))
 
 
+def test_transform_rejects_model_whose_training_rows_disagree_with_its_components():
+    data, K = make_instance(612, n=8, d=3)
+    model = fit(K, 2, FitOptions(starts=8, seed=0), train=raw_dataset(np.ones((9, 3))))
+    with pytest.raises(InvalidData, match="expected matrix with 8 columns"):
+        transform(model, data)
+
+
 def test_chain_scores_matches_transform():
     data, K = make_instance(605, n=8, d=3)
     model = fit(K, 2, FitOptions(starts=8, seed=0), train=data)
@@ -413,6 +420,57 @@ def test_chain_scores_match_sequential_cross_gram_deflation(family, n, d, m, p, 
     expected = replayed_chain_scores(model.components, G)
     npt.assert_allclose(chain_scores(model.components, G), expected,
                         rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]),
+       n=st.integers(2, 30), d=st.integers(1, 6), m=st.integers(1, 12),
+       p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_projection_of_both_kinds_matches_sequential_scoring(family, n, d, m, p, seed):
+    data, K = make_instance(seed, n=n, d=d, family=family)
+    p = min(p, n)
+    query = raw_dataset(np.random.default_rng(seed).standard_normal((m, d)))
+    G = cross_gram(K.spec, data, query)
+    models = []
+    try:
+        models.append((fit(K, p, FitOptions(starts=4, seed=seed), train=data),
+                       lambda model, k: replayed_chain_scores(model.components[:k], G)))
+    except DegenerateComponent:
+        pass  # a kernel of lower rank than p has no L1 model of p components
+    l2_model = l2_fit(K, p)
+    keep = l2_model.eigenvalues > 0  # scoring refuses zero eigenvalues
+    l2_model = EigenModel(eigenvalues=l2_model.eigenvalues[keep],
+                          coefficient_vectors=l2_model.coefficient_vectors[:, keep], spec=K.spec)
+    if l2_model.n_components:
+        models.append((l2_model, lambda model, k: (G @ model.coefficient_vectors[:, :k])
+                       / np.sqrt(model.eigenvalues[:k])))
+    for model, sequential in models:
+        W = model.projection()
+        assert W.shape == (n, model.n_components)
+        Y = model.training_scores()
+        npt.assert_allclose(K.entries @ W, Y, rtol=0, atol=1e-10 * np.abs(Y).max())
+        for k in range(1, model.n_components + 1):
+            npt.assert_allclose(model.projection(k), W[:, :k],
+                                rtol=0, atol=1e-12 * np.abs(W[:, :k]).max())
+            expected = sequential(model, k)
+            npt.assert_allclose(G @ model.projection(k), expected,
+                                rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+def test_transform_builds_the_projection_once_per_call(monkeypatch):
+    data, models = fitted_models()
+    monkeypatch.setattr(kernel, "_TILE_BYTES", 8 * data.n_samples)  # one-row tiles
+    query = raw_dataset(np.random.default_rng(611).standard_normal((7, data.n_features)))
+    for model in models:
+        calls = []
+
+        def projection(p=None, _build=model.projection):
+            calls.append(p)
+            return _build(p)
+
+        monkeypatch.setattr(model, "projection", projection)
+        assert transform(model, query).shape == (7, 3)  # seven one-row tiles
+        assert calls == [None]
 
 
 def fitted_models(n=13, d=4, p=3):
