@@ -74,6 +74,30 @@ def read_csv_raw(file: DatasetFile) -> tuple[np.ndarray, np.ndarray | None]:
             except ValueError:
                 raise ParseError(f"label column {file.label_column!r} not in header {header}") from None
 
+    try:
+        return _parse_bulk(rows, width, label_idx)
+    except (KeyError, ValueError):
+        return _parse_by_cell(rows, width, label_idx)
+
+
+def _parse_bulk(rows: list, width: int, label_idx: int | None):
+    """All rows at once: one label lookup per row, one str -> float cast.
+
+    numpy casts each str with float(), so the values are the ones
+    _parse_by_cell gives. Raises KeyError or ValueError on any bad row;
+    the caller then rescans cell by cell for the first error's position.
+    """
+    if any(len(row) != width for _, row in rows):
+        raise ValueError("ragged row")
+    if label_idx is None:
+        return np.array([row for _, row in rows], dtype=float), None
+    labels = [_LABEL_STRINGS[row[label_idx].strip().lower()] for _, row in rows]
+    feats = [row[:label_idx] + row[label_idx + 1:] for _, row in rows]
+    return np.array(feats, dtype=float), np.asarray(labels, dtype=int)
+
+
+def _parse_by_cell(rows: list, width: int, label_idx: int | None):
+    """Row by row and cell by cell, raising ParseError at the first bad cell."""
     values, labels = [], []
     for i, row in rows:
         if len(row) != width:
@@ -141,6 +165,8 @@ def _dataset_from(payload: dict) -> Dataset:
         raise SchemaError("training data arrays disagree in shape")
     if not np.all(np.isfinite(data.column_stds) & (data.column_stds > 0)):
         raise SchemaError("training column stds must be finite and positive")
+    if not (np.all(np.isfinite(data.values)) and np.all(np.isfinite(data.column_means))):
+        raise SchemaError("training values and column means must be finite")
     return data
 
 
@@ -176,7 +202,9 @@ def read_model(path: str):
     l1 / l2, or a malformed model: a missing or mistyped field, vectors
     whose lengths disagree with each other or with the stored training rows,
     a sign-vector entry other than -1 / +1, an objective that is not finite
-    and positive, or a training column std that is not finite and positive.
+    and positive, a training column std that is not finite and positive, or
+    a non-finite eigenvalue, eigenvector entry, training score, training
+    value or column mean.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -221,6 +249,8 @@ def _model_from(payload: dict):
             raise SchemaError("sign vector entries must be exactly -1 or +1")
         if not all(0 < comp.objective < np.inf for comp in components):
             raise SchemaError("component objectives must be finite and positive")
+        if not all(np.all(np.isfinite(comp.train_scores)) for comp in components):
+            raise SchemaError("component training scores must be finite")
         return l1.KpcaModel(components=components, spec=spec, train_ref=train)
     model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
                           coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
@@ -229,4 +259,6 @@ def _model_from(payload: dict):
     if (U.ndim != 2 or model.eigenvalues.shape != (U.shape[1],)
             or (train is not None and U.shape[0] != train.n_samples)):
         raise SchemaError("eigenvalues, eigenvectors and training rows disagree in shape")
+    if not (np.all(np.isfinite(model.eigenvalues)) and np.all(np.isfinite(U))):
+        raise SchemaError("eigenvalues and eigenvectors must be finite")
     return model

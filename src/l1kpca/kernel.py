@@ -13,8 +13,12 @@ Datasets, kernel specs and Gram matrices are frozen after construction
 
 Memory: a Gram matrix peaks at about n^2 floats plus one ~1 MB working
 tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about m*n floats
-plus one tile. The gaussian kernel is evaluated in row tiles of explicit
-differences; every family's Gram is mirrored in place, tile by tile.
+plus the m + n row norms. The gaussian Gram is evaluated in row tiles of
+explicit differences, so its entries keep the dense formula's bits. The
+gaussian cross-Gram is one matrix product through the norm expansion
+||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, and matches kernel_eval within the
+rounding of that expansion. Every family's Gram is mirrored in place,
+tile by tile.
 """
 
 from __future__ import annotations
@@ -167,35 +171,51 @@ def _tile_rows(row_floats: int) -> int:
     return max(1, _TILE_BYTES // (8 * row_floats))
 
 
-def _gaussian(spec: KernelSpec, left: np.ndarray, right: np.ndarray,
-              upper: bool = False) -> np.ndarray:
-    """Gaussian kernel between left and right rows, one row tile at a time.
+def _gaussian(spec: KernelSpec, values: np.ndarray) -> np.ndarray:
+    """Upper triangle of the gaussian Gram of values, one row tile at a time.
 
-    With upper=True (left is right) each tile starts at its first row's
-    diagonal column, so only the upper triangle plus each tile's strict
-    lower corner is filled; the rest of the result is left uninitialized.
+    Each tile starts at its first row's diagonal column, so only the upper
+    triangle plus each tile's strict lower corner is filled; the rest of
+    the result is left uninitialized.
     """
-    m, n = left.shape[0], right.shape[0]
-    out = np.empty((m, n))
+    n = values.shape[0]
+    out = np.empty((n, n))
     a = 0
-    while a < m:
-        first = a if upper else 0
-        b = min(m, a + _tile_rows((n - first) * left.shape[1]))
-        # Explicit differences (not the dot-product expansion) so entries
-        # match kernel_eval to rounding for every pair.
-        diff = left[a:b, None, :] - right[None, first:, :]
+    while a < n:
+        b = min(n, a + _tile_rows((n - a) * values.shape[1]))
+        # Explicit differences, not the norm expansion that _pairwise uses:
+        # the Gram's bits drive the sign iteration, where starts converging
+        # to +c and -c tie and rounding settles which one wins. With the
+        # expansion here, one benchmark seed flipped a component's sign.
+        # Moving the Gram waits for a canonical sign per component.
+        diff = values[a:b, None, :] - values[None, a:, :]
         sqdist = np.einsum("ijk,ijk->ij", diff, diff)
-        out[a:b, first:] = np.exp(-sqdist / (2.0 * spec.sigma**2))
+        out[a:b, a:] = np.exp(-sqdist / (2.0 * spec.sigma**2))
         a = b
     return out
 
 
 def _pairwise(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """m x n kernel matrix between left rows and right rows.
+
+    The gaussian uses ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b: one product
+    left @ right.T, then in-place updates on that m x n result, so memory
+    is the result plus the m + n row norms. Squared distances that round
+    below 0 are clamped to 0. Entries differ from the explicit-difference
+    formula by cancellation in the expansion: at most about
+    4 (d + 2) eps (||a||^2 + ||b||^2) / (2 sigma^2) relative.
+    """
+    out = left @ right.T
     if spec.family == "linear":
-        return left @ right.T
+        return out
     if spec.family == "gaussian":
-        return _gaussian(spec, left, right)
-    return (left @ right.T + spec.offset) ** spec.degree
+        out *= -2.0
+        out += np.einsum("ij,ij->i", left, left)[:, None]
+        out += np.einsum("ij,ij->i", right, right)
+        np.maximum(out, 0.0, out=out)
+        out /= -2.0 * spec.sigma**2
+        return np.exp(out, out=out)
+    return (out + spec.offset) ** spec.degree
 
 
 def _mirror_upper(entries: np.ndarray) -> None:
@@ -223,7 +243,7 @@ def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
         raise InvalidData(f"n={n} exceeds the dense Gram cap of {MAX_GRAM_SIZE}")
     values = data.values
     if spec.family == "gaussian":
-        entries = _gaussian(spec, values, values, upper=True)
+        entries = _gaussian(spec, values)
     else:
         entries = _pairwise(spec, values, values)
     _mirror_upper(entries)
@@ -234,7 +254,9 @@ def cross_gram(spec: KernelSpec, train: Dataset, query: Dataset) -> np.ndarray:
     """m x n matrix of kernel evaluations between query rows and training rows.
 
     The query is expected to be standardized with the training set's
-    recorded statistics when it represents held-out samples.
+    recorded statistics when it represents held-out samples. Gaussian
+    entries come from the norm expansion (see _pairwise), so they match
+    kernel_eval and gram within rounding, not bit for bit.
     """
     if query.n_features != train.n_features:
         raise InvalidData(f"query has {query.n_features} features, train has {train.n_features}")

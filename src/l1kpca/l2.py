@@ -44,11 +44,11 @@ class EigenModel:
     def projection(self, p: int | None = None) -> np.ndarray:
         """n x p map W scoring the first p components (default all) as cross @ W.
 
-        Column j is u_j / sqrt(mu_j); a zero eigenvalue among the first p
-        raises DegenerateComponent.
+        Column j is u_j / sqrt(mu_j); an eigenvalue among the first p that
+        is not positive (zero or NaN) raises DegenerateComponent.
         """
         mu = self.eigenvalues[:p]
-        if np.any(mu <= 0):
+        if not np.all(mu > 0):
             raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
         return self.coefficient_vectors[:, :p] / np.sqrt(mu)
 

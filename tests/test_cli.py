@@ -206,11 +206,15 @@ def _drop_last(*path):
     ("fit", _set(-4.0, "components", 0, "objective")),
     ("fit", _set(7, "components", 1, "sign_vector", 3)),
     ("fit", _set(0.0, "train", "column_stds", 2)),
+    ("fit-l2", _set(float("nan"), "eigenvalues", 0)),
+    ("fit", _set(float("nan"), "components", 1, "train_scores", 4)),
+    ("fit", _set(float("inf"), "train", "values", 3, 1)),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
         "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
         "l2-without-spec", "l1-objective-not-a-number", "l1-objective-negative",
-        "l1-sign-entry-not-unit", "training-std-zero"])
+        "l1-sign-entry-not-unit", "training-std-zero", "l2-eigenvalue-nan",
+        "l1-train-score-nan", "train-value-inf"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import deflation_chain, make_instance
 from l1kpca import (DatasetFile, FitOptions, InvalidData, ParseError, SchemaError,
                     build_detector, fit, gram, l2_fit, read_csv, read_model, transform,
                     write_csv, write_model)
-from l1kpca.io import FORMAT_VERSION
+from l1kpca.io import FORMAT_VERSION, read_csv_raw
 
 
 def test_read_plain_numeric_file(tmp_path):
@@ -54,6 +55,89 @@ def test_read_reports_parse_positions(tmp_path):
 
     with pytest.raises(ParseError):
         read_csv(DatasetFile(str(tmp_path / "missing.csv")))
+
+
+_LABEL_VALUES = {"0": 0, "1": 1, "normal": 0, "outlier": 1}
+
+
+def per_cell_parse(text, has_header, label_idx):
+    """Reference parse: float() on every stripped cell, row by row.
+
+    Returns (values, labels) or the (message, line, column) of the first bad cell.
+    """
+    rows = [(no, line.split(",")) for no, line in enumerate(text.splitlines(), start=1)
+            if line.strip() != ""]
+    if not rows:
+        return "is empty", None, None
+    rows = rows[1:] if has_header else rows
+    if not rows:
+        return "has a header but no data rows", None, None
+    width = len(rows[0][1])
+    if label_idx is not None and label_idx >= width:
+        return f"label column index {label_idx} out of range (row width {width})", None, None
+    values, labels = [], []
+    for i, row in rows:
+        if len(row) != width:
+            return f"ragged row: expected {width} cells, found {len(row)}", i, None
+        feats = []
+        for j, cell in enumerate(row, start=1):
+            text = cell.strip()
+            if j - 1 == label_idx:
+                if text.lower() not in _LABEL_VALUES:
+                    return f"unknown label value {text!r}", i, j
+                labels.append(_LABEL_VALUES[text.lower()])
+                continue
+            try:
+                feats.append(float(text))
+            except ValueError:
+                return f"non-numeric feature cell {text!r}", i, j
+        values.append(feats)
+    return np.array(values, dtype=float), labels
+
+
+_pads = st.sampled_from(["", " ", "  ", "\t", " \t"])
+_number_text = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "-0.0", "+3", ".5", "1e-400", "1e400", "nan", "-inf",
+                     "Infinity", "NaN", "2.5E3", "0x10", "1__0", "abc", "", "1 2"]))
+_label_text = st.sampled_from(["0", "1", "normal", "outlier", "NORMAL", "Outlier", "maybe"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 6), width=st.integers(1, 5),
+       has_header=st.booleans(), labelled=st.booleans(),
+       ragged=st.sampled_from([None, -1, 1]))
+def test_bulk_csv_parse_equals_per_cell_float_parse(tmp_path, data, n, width, has_header,
+                                                     labelled, ragged):
+    label_idx = data.draw(st.integers(0, width - 1)) if labelled else None
+    lines = [",".join(f"x{j}" for j in range(width))] if has_header else []
+    for _ in range(n):
+        cells = [data.draw(_label_text if j == label_idx else _number_text)
+                 for j in range(width)]
+        lines.append(",".join(data.draw(_pads) + c + data.draw(_pads) for c in cells))
+        lines += data.draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2))
+    if ragged is not None:
+        row = data.draw(st.integers(len(lines) - n if has_header else 0, len(lines) - 1))
+        if lines[row].strip():
+            lines[row] = lines[row] + ",1" if ragged > 0 else lines[row].rpartition(",")[0]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "generated.csv"
+    path.write_text(text, encoding="utf-8")
+    file = DatasetFile(str(path), has_header=has_header, label_column=label_idx)
+    expected = per_cell_parse(text, has_header, label_idx)
+    if isinstance(expected[0], str):
+        with pytest.raises(ParseError) as info:
+            read_csv_raw(file)
+        assert (info.value.line, info.value.column) == expected[1:]
+        assert expected[0] in str(info.value)
+        return
+    values, labels = read_csv_raw(file)
+    assert values.shape == expected[0].shape and values.tobytes() == expected[0].tobytes()
+    assert (labels is None) == (label_idx is None)
+    if labels is not None:
+        assert labels.tolist() == expected[1]
 
 
 def test_csv_round_trip_preserves_values(tmp_path):

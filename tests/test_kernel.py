@@ -202,8 +202,39 @@ def test_tiled_kernels_equal_dense_reference(monkeypatch, n, m, d, sigma, tile_b
     for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=sigma),
                  KernelSpec("polynomial", degree=3, offset=0.5)):
         assert np.array_equal(gram(spec, train).entries, dense_gram(spec, train.values))
-        assert np.array_equal(cross_gram(spec, train, query),
-                              dense_pairwise(spec, query.values, train.values))
+        if spec.family != "gaussian":  # the gaussian cross-Gram is bounded below
+            assert np.array_equal(cross_gram(spec, train, query),
+                                  dense_pairwise(spec, query.values, train.values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(n=st.integers(1, 40), m=st.integers(1, 30), d=st.integers(1, 12),
+       sigma=st.floats(0.05, 50.0), scale=st.floats(0.1, 10.0),
+       duplicates=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_cross_gram_within_expansion_bound_of_dense_reference(n, m, d, sigma, scale,
+                                                                       duplicates, seed):
+    rng = np.random.default_rng(seed)
+    train_values = scale * rng.standard_normal((n, d))
+    query_values = scale * rng.standard_normal((m, d))
+    # Near-duplicate query rows: ||a-b||^2 is far below ||a||^2 + ||b||^2, so
+    # the expansion cancels and may round below zero before its clamp.
+    k = min(duplicates, m)
+    picks = rng.integers(0, n, size=k)
+    query_values[:k] = train_values[picks] * (1.0 + 1e-9 * rng.standard_normal((k, d)))
+    spec = KernelSpec("gaussian", sigma=sigma)
+    G = cross_gram(spec, raw_dataset(train_values), raw_dataset(query_values))
+    G_ref = dense_pairwise(spec, query_values, train_values)
+    # Each squared distance, by the expansion or by differences, is within
+    # 2(d+2) eps (||a||^2 + ||b||^2) of exact; the exponents then differ by
+    # at most delta below, and |e^x - e^y| <= max(e^x, e^y) |x - y|. The 4 eps
+    # covers the division and both exps, the subnormal term their absolute
+    # rounding where the kernel underflows.
+    eps = np.finfo(float).eps
+    norms = (query_values**2).sum(axis=1)[:, None] + (train_values**2).sum(axis=1)
+    delta = 4 * (d + 2) * eps * norms / (2.0 * sigma**2)
+    bound = (delta + 4 * eps) * np.maximum(G, G_ref) + 2 * np.finfo(float).smallest_subnormal
+    assert G.shape == G_ref.shape == (m, n)
+    assert np.all(np.abs(G - G_ref) <= bound)
 
 
 @pytest.mark.parametrize("n", [1, 361, 363])

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_instance, raw_gram
-from l1kpca import (DegenerateComponent, InvalidData, KernelSpec, NumericalFailure,
-                    gram, l2_fit, l2_scores)
+from l1kpca import (DegenerateComponent, EigenModel, InvalidData, KernelSpec,
+                    NumericalFailure, gram, l2_fit, l2_scores)
 
 
 def test_identity_gram_has_unit_eigenvalues():
@@ -107,6 +107,15 @@ def test_scores_reject_zero_eigenvalue():
     model = l2_fit(K, 2)
     with pytest.raises(DegenerateComponent):
         l2_scores(model, K.entries)
+
+
+def test_projection_rejects_nan_eigenvalue(two_point_gram):
+    model = l2_fit(two_point_gram, 2)
+    broken = EigenModel(eigenvalues=np.array([model.eigenvalues[0], np.nan]),
+                        coefficient_vectors=model.coefficient_vectors, spec=model.spec)
+    assert broken.scores(two_point_gram.entries, 1).shape == (2, 1)
+    with pytest.raises(DegenerateComponent):
+        broken.projection()
 
 
 @pytest.mark.parametrize("seed", range(5))
