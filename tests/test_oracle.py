@@ -156,7 +156,47 @@ def test_ties_go_to_the_first_maximizer_in_plus_first_order(monkeypatch, n, tile
     assert res.objective_histogram == objectives
 
 
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(9, 16), tile_bytes=st.integers(1, 1 << 15), data=st.data())
+def test_block_split_equals_materialized_objectives_in_code_order(monkeypatch, n, tile_bytes,
+                                                                  data):
+    # From n = 9 on the trailing half is 4-7 entries wide, and a small tile
+    # covers a few leading patterns at a time, often with a ragged last tile.
+    # Integer entries keep every objective exact, so the whole list compares.
+    monkeypatch.setattr(kernel, "_TILE_BYTES", tile_bytes)
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    A = np.array(entries, dtype=float).reshape(n, n)
+    K = np.triu(A) + np.triu(A, 1).T
+    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
+
+    tails = np.array(list(itertools.product((1.0, -1.0), repeat=n - 1)))
+    C = np.hstack((np.ones((len(tails), 1)), tails))
+    objectives = np.einsum("ij,ij->i", C @ K, C).tolist()
+    first = objectives.index(max(objectives))
+    npt.assert_array_equal(res.best_sign, C[first])
+    assert res.best_objective == objectives[first]
+    assert res.objective_histogram == objectives
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 1 << 20])
+@pytest.mark.parametrize("K, best_sign, histogram", [
+    ([[3.0]], [1.0], [3.0]),
+    ([[1.0, -2.0], [-2.0, 3.0]], [1.0, -1.0], [0.0, 8.0]),
+], ids=["n1", "n2"])
+def test_instances_with_an_empty_low_half(monkeypatch, tile_bytes, K, best_sign, histogram):
+    # n = 1 and 2 leave no trailing entries, so every code is a leading
+    # pattern; tile_bytes = 1 puts each code in its own tile.
+    monkeypatch.setattr(kernel, "_TILE_BYTES", tile_bytes)
+    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
+    npt.assert_array_equal(res.best_sign, best_sign)
+    assert res.best_objective == max(histogram)
+    assert res.objective_histogram == histogram
+
+
 def test_enumeration_memory_is_one_block_at_n_20():
+    # One ~1 MB tile of objectives plus the half-size tables (H, L, the
+    # cross factor and their bit codes, under 0.3 MB at n = 20).
     data, K = make_instance(55, n=20, d=4, family="gaussian")
     tracemalloc.start()
     try:
@@ -164,4 +204,4 @@ def test_enumeration_memory_is_one_block_at_n_20():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 1.5 * 2**20
