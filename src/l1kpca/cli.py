@@ -32,7 +32,8 @@ def _add_kernel_flags(parser):
     parser.add_argument("--sigma", type=float, default=None,
                         help="gaussian width (default: the feature count)")
     parser.add_argument("--degree", type=int, default=2, help="polynomial degree")
-    parser.add_argument("--offset", type=float, default=1.0, help="polynomial offset")
+    parser.add_argument("--offset", type=float, default=1.0,
+                        help="polynomial offset, at least 0 (a negative one exits 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -127,12 +127,10 @@ def read_csv(file: DatasetFile) -> Dataset:
     return standardize(values, labels)
 
 
-def write_csv(path: str, matrix, labels=None, header: list[str] | None = None) -> None:
+def write_csv(path: str, matrix, labels=None) -> None:
     """Write a numeric matrix (optionally with a trailing label column) as CSV."""
     matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for i, row in enumerate(matrix):
             cells = [repr(float(x)) for x in row]
             if labels is not None:
@@ -199,7 +197,8 @@ def read_model(path: str):
 
     Raises ParseError on files that do not parse as JSON (truncation
     included) and SchemaError on a version mismatch, a kind other than
-    l1 / l2, or a malformed model: a missing or mistyped field, vectors
+    l1 / l2, or a malformed model: a missing or mistyped field (any of
+    the kernel spec's four included; none is filled with a default), vectors
     whose lengths disagree with each other or with the stored training rows,
     a sign-vector entry other than -1 / +1, an objective that is not finite
     and positive, a training column std that is not finite and positive, or

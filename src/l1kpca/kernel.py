@@ -6,7 +6,10 @@ this package. Three kernel families are supported:
 
     linear       k(a, b) = a.b
     gaussian     k(a, b) = exp(-||a - b||^2 / (2 sigma^2))
-    polynomial   k(a, b) = (a.b + offset)^degree
+    polynomial   k(a, b) = (a.b + offset)^degree,  offset >= 0
+
+All three give positive semidefinite Gram matrices, which the sign
+iteration in l1 needs to reach a fixed point in finitely many passes.
 
 Datasets, kernel specs and Gram matrices are frozen after construction
 (arrays are marked read-only), so they can be shared across threads.
@@ -85,6 +88,9 @@ class KernelSpec:
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InvalidData(f"polynomial degree must be a positive integer, got {self.degree}")
+            # A negative offset can make K indefinite, where the sign iteration may cycle.
+            if not self.offset >= 0:
+                raise InvalidData(f"polynomial offset must be non-negative, got {self.offset}")
 
     def to_dict(self) -> dict:
         return {"family": self.family, "sigma": self.sigma,
@@ -92,8 +98,8 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(family=d["family"], sigma=d.get("sigma", 1.0),
-                   degree=d.get("degree", 2), offset=d.get("offset", 1.0))
+        """The spec to_dict wrote; a missing field raises KeyError, never a default."""
+        return cls(family=d["family"], sigma=d["sigma"], degree=d["degree"], offset=d["offset"])
 
 
 @dataclass(frozen=True)

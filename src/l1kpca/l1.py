@@ -17,9 +17,14 @@ Out-of-sample scores apply the same deflation identity to a cross-Gram
 matrix G. The identity is linear in G, so a model's scores are G W with
 one n x p map W built from the sign vectors, objectives and training
 scores, which is all a fitted model keeps. The iteration is well-behaved:
-the iterate norm sqrt(c'Kc) / sum|Kc| never increases, the loop reaches a
-fixed point in finitely many steps, and each step contracts the norm by
-the ratio rho(c) = c'Kc / sum|Kc| <= 1.
+the iterate norm sqrt(c'Kc) / sum|Kc| never increases, and each step
+contracts the norm by the ratio rho(c) = c'Kc / sum|Kc| <= 1.
+
+There is one stopping rule: the sign vector is fixed. Every kernel spec
+the package accepts gives a positive semidefinite K, on which each flipped
+entry raises c'Kc by at least 4|(Kc)_i|, more than four zero bands, so
+the iteration cannot cycle and reaches a fixed point in finitely many
+passes; max_iter only caps the pass count.
 """
 
 from __future__ import annotations
@@ -48,11 +53,10 @@ class FitOptions:
             raise InvalidData(f"start count {self.starts} must be at least 1")
 
 
-def _tolerances(K: np.ndarray) -> tuple[float, float]:
-    """The zero band 1e-12 * n * max|K| and the termination floor 1e-9 * max|K|."""
+def _zero_band(K: np.ndarray) -> float:
+    """The zero band 1e-12 * n * max|K|."""
     # max|K| without materializing np.abs(K); K is O(n^2).
-    scale = float(max(K.max(), -K.min()))
-    return 1e-12 * K.shape[0] * scale, 1e-9 * scale
+    return 1e-12 * K.shape[0] * float(max(K.max(), -K.min()))
 
 
 def _quadratic_form(K: np.ndarray, c: np.ndarray, tol_zero: float,
@@ -71,9 +75,11 @@ class ConvergenceReport:
 
     norm_trace[k] is the iterate norm sqrt(c'Kc) / sum|Kc| computed from
     the k-th sign vector; rate_estimates[k] is the contraction ratio
-    rho(c^k) = c'Kc / sum|Kc|. terminated_by is one of sign_fixed,
-    quadratic_form_zero, max_iter. zero_band_hits counts entries of Kc
-    that fell inside the sign-retention band over the whole run.
+    rho(c^k) = c'Kc / sum|Kc|. terminated_by is sign_fixed (the sign
+    vector is a fixed point) or max_iter (it is not). zero_band_hits counts
+    entries of Kc that fell inside the sign-retention band over the whole
+    run. Model files from earlier versions may also hold
+    quadratic_form_zero, a retired stopping rule; they still load.
     """
 
     iterations: int
@@ -154,12 +160,12 @@ def sign_update(gram_matrix: GramMatrix, c) -> np.ndarray:
     """
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    tol_zero, _ = _tolerances(K)
+    tol_zero = _zero_band(K)
     v = K @ c
     return np.where(np.abs(v) <= tol_zero, c, np.sign(v))
 
 
-def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
+def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
                    max_iter: int) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
@@ -168,25 +174,18 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: flo
     skinny rank-update (delta @ K[flipped]) instead of a fresh gemv,
     and heavy-flip columns are recomputed together in one gemm. Each
     column's trajectory is the same as running it alone, so results do
-    not depend on batching or scheduling. Returns one (sign vector,
+    not depend on batching or scheduling. A column stops only when a pass
+    flips no sign (terminated_by="sign_fixed"). Returns one (sign vector,
     recorded objective c'Kc, report) record per column; a column without
-    a fixed point has terminated_by="max_iter" and objective NaN.
-
-    The quadratic-form termination (dc'K dc <= eps_term, relevant only on
-    semidefinite kernels where distinct sign vectors generate the same
-    iterate) is evaluated one pass deferred via
-    dc'K dc = s_k - 2 v_k.c_{k+1} + s_{k+1}, keeping the per-pass cost to
-    the single product.
+    a fixed point after max_iter passes has terminated_by="max_iter" and
+    objective NaN.
     """
     n, m = C0.shape
     C = C0.copy()
     V = K @ C  # V[:, j] tracks K @ C[:, j] across passes
     active = list(range(m))
-    # Per-column deferred state: previous s and previous v.c_next.
-    prev_s = np.full(m, np.nan)
-    prev_cross = np.full(m, np.nan)
-    # Per-column termination: (terminated_by, iterations, objective), or None.
-    out: list[tuple[str, int, float] | None] = [None] * m
+    # Per-column fixed point: (iterations, objective), or None.
+    out: list[tuple[int, float] | None] = [None] * m
     traces: list[list[float]] = [[] for _ in range(m)]
     rates: list[list[float]] = [[] for _ in range(m)]
     band_hits = np.zeros(m, dtype=int)
@@ -208,16 +207,8 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: flo
             flipped = np.flatnonzero(c_next != c)
 
             if flipped.size == 0:
-                out[col] = ("sign_fixed", k + 1, s)
+                out[col] = (k + 1, s)
                 continue
-            # Deferred quadratic-form check for the previous pass.
-            if k > 0:
-                q = prev_s[col] - 2.0 * prev_cross[col] + s
-                if q <= eps_term:
-                    out[col] = ("quadratic_form_zero", k, s)
-                    continue
-            prev_s[col] = s
-            prev_cross[col] = float(v @ c_next)
             if flipped.size <= incr_cutoff:
                 # K is exactly symmetric: gather contiguous rows, not strided columns.
                 V[:, col] = v + (c_next[flipped] - c[flipped]) @ K[flipped]
@@ -234,11 +225,12 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: flo
 
     records = []
     for col in range(m):
-        terminated_by, iterations, objective = out[col] or ("max_iter", max_iter, np.nan)
+        iterations, objective = out[col] or (max_iter, np.nan)
         # The multiplier 1 / (2 * norm) exists only at a fixed point of nonzero norm.
         norm = traces[col][-1] if out[col] else 0.0
         report = ConvergenceReport(
-            iterations=iterations, norm_trace=traces[col], terminated_by=terminated_by,
+            iterations=iterations, norm_trace=traces[col],
+            terminated_by="sign_fixed" if out[col] else "max_iter",
             rate_estimates=rates[col],
             lagrange_multiplier=1.0 / (2.0 * norm) if norm > 0 else np.nan,
             zero_band_hits=int(band_hits[col]))
@@ -246,8 +238,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: flo
     return records
 
 
-def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
-           max_iter: int) -> ComponentModel:
+def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, max_iter: int) -> ComponentModel:
     """One component from the starts in C0's columns: iterate, reduce, finalize.
 
     Starts whose recorded objective clears the zero band compete on it
@@ -255,7 +246,7 @@ def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
     recomputed. With no such start, start 0 is finalized, which raises
     its NonConvergence or DegenerateComponent.
     """
-    records = _iterate_batch(K, C0, tol_zero, eps_term, max_iter)
+    records = _iterate_batch(K, C0, tol_zero, max_iter)
     usable = [idx for idx, (_, objective, _) in enumerate(records) if objective > tol_zero]
     c, _, report = records[max(usable, key=lambda idx: records[idx][1], default=0)]
     if report.terminated_by == "max_iter":
@@ -267,16 +258,17 @@ def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, eps_term: float,
 def fit_component(gram_matrix: GramMatrix, c0, options: FitOptions | None = None) -> ComponentModel:
     """Iterate the sign-update map from c0 until the sign vector is fixed.
 
-    Terminates when the updated vector equals the previous one elementwise
-    or when the quadratic form of their difference drops below eps_term.
-    Raises NonConvergence (with the partial report attached) if max_iter
-    passes without a fixed point, and DegenerateComponent if the terminal
-    objective c'Kc is numerically zero.
+    Terminates only when the updated vector equals the previous one
+    elementwise, which on the positive semidefinite kernels the package
+    accepts happens in finitely many passes. Raises NonConvergence (with
+    the partial report attached) if max_iter passes without a fixed point,
+    and DegenerateComponent if the terminal objective c'Kc is numerically
+    zero.
     """
     opts = options or FitOptions()
     K = gram_matrix.entries
     c0 = validate_sign_vector(c0, K.shape[0])
-    return _solve(K, c0[:, None], *_tolerances(K), opts.max_iter)
+    return _solve(K, c0[:, None], _zero_band(K), opts.max_iter)
 
 
 def default_start(K: np.ndarray, tol_zero: float) -> np.ndarray:
@@ -305,7 +297,7 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     """
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    v, s = _quadratic_form(K, c, _tolerances(K)[0],
+    v, s = _quadratic_form(K, c, _zero_band(K),
                            "cannot deflate: objective {:.3e} is numerically zero")
     # outer(v, v) is exactly symmetric, so the difference stays exactly
     # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
@@ -319,7 +311,7 @@ def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
     """Principal scores of the training samples: Kc / sqrt(c'Kc)."""
     K = gram_matrix.entries
     c = validate_sign_vector(c, K.shape[0])
-    v, s = _quadratic_form(K, c, _tolerances(K)[0], "objective {:.3e} is numerically zero")
+    v, s = _quadratic_form(K, c, _zero_band(K), "objective {:.3e} is numerically zero")
     return v / np.sqrt(s)
 
 
@@ -341,10 +333,10 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     if not 1 <= p <= n:
         raise InvalidData(f"component count {p} not in [1, {n}]")
 
-    # The zero band and termination floor scale with the undeflated K: a
-    # deflated K_j's own max|K_j| shrinks to rounding noise once the
-    # kernel's rank is used up, and a band scaled to it would pass noise.
-    tol_zero, eps_term = _tolerances(K)
+    # The zero band scales with the undeflated K: a deflated K_j's own
+    # max|K_j| shrinks to rounding noise once the kernel's rank is used up,
+    # and a band scaled to it would pass noise.
+    tol_zero = _zero_band(K)
     current = gram_matrix
     components: list[ComponentModel] = []
     for j in range(p):
@@ -355,7 +347,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
                               random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
 
         try:
-            best = _solve(K, C0, tol_zero, eps_term, opts.max_iter)
+            best = _solve(K, C0, tol_zero, opts.max_iter)
         except (DegenerateComponent, NonConvergence) as exc:
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise

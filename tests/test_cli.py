@@ -209,12 +209,13 @@ def _drop_last(*path):
     ("fit-l2", _set(float("nan"), "eigenvalues", 0)),
     ("fit", _set(float("nan"), "components", 1, "train_scores", 4)),
     ("fit", _set(float("inf"), "train", "values", 3, 1)),
+    ("fit", lambda payload: {**payload, "spec": _without("sigma")(payload["spec"])}),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
         "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
         "l2-without-spec", "l1-objective-not-a-number", "l1-objective-negative",
         "l1-sign-entry-not-unit", "training-std-zero", "l2-eigenvalue-nan",
-        "l1-train-score-nan", "train-value-inf"])
+        "l1-train-score-nan", "train-value-inf", "spec-without-sigma"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model
@@ -231,6 +232,18 @@ def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, caps
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("l1kpca: ")
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-l2", "detect"])
+def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
+    noisy, _ = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "model.json"
+    model_flags = () if command == "detect" else ("--model", str(model_path))
+    code, out, err = run_cli(capsys, command, "--data", str(noisy), "--label-column", "4",
+                             "--kernel", "poly", "--offset", "-1", *model_flags)
+    assert (code, out) == (3, "")
+    assert err == "l1kpca: polynomial offset must be non-negative, got -1.0\n"
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -192,6 +192,33 @@ def test_write_model_refuses_detection_model(tmp_path):
     assert not path.exists()
 
 
+def test_model_file_from_before_the_single_stopping_rule_still_loads(tmp_path):
+    # Earlier versions could end a solve on a quadratic-form rule and wrote
+    # terminated_by "quadratic_form_zero" into the report.
+    data, K = make_instance(5, n=10, d=4, family="gaussian", sigma=2.0)
+    model = fit(K, 2, FitOptions(starts=8, seed=5), train=data)
+    path = tmp_path / "old.json"
+    write_model(model, str(path))
+    payload = json.loads(path.read_text())
+    payload["components"][1]["report"]["terminated_by"] = "quadratic_form_zero"
+    path.write_text(json.dumps(payload))
+    loaded = read_model(str(path))
+    assert loaded.components[1].report.terminated_by == "quadratic_form_zero"
+    npt.assert_array_equal(transform(loaded, data), transform(model, data))
+
+
+@pytest.mark.parametrize("field", ["family", "sigma", "degree", "offset"])
+def test_model_spec_missing_a_field_raises_schema_error(tmp_path, field):
+    data, K = make_instance(6, n=10, d=4, family="gaussian", sigma=2.0)
+    path = tmp_path / "model.json"
+    write_model(fit(K, 1, FitOptions(starts=8, seed=6), train=data), str(path))
+    payload = json.loads(path.read_text())
+    del payload["spec"][field]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=f"^model file lacks field '{field}'$"):
+        read_model(str(path))
+
+
 def test_version_mismatch_raises_schema_error(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"version": "l1kpca/0", "kind": "l1"}))

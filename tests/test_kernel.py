@@ -105,6 +105,14 @@ def test_kernel_spec_validation():
         KernelSpec("sigmoid")
 
 
+@pytest.mark.parametrize("offset", [-1.0, -1e-300, float("nan")])
+def test_polynomial_spec_refuses_an_offset_below_zero(offset):
+    # A negative offset can make the Gram indefinite; the sign iteration's
+    # finite termination needs it positive semidefinite.
+    with pytest.raises(InvalidData, match="^polynomial offset must be non-negative, got "):
+        KernelSpec("polynomial", offset=offset)
+
+
 def test_gram_linear_identity_rows():
     K = gram(KernelSpec("linear"), raw_dataset(np.eye(2)))
     npt.assert_allclose(K.entries, np.eye(2))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
@@ -224,7 +224,7 @@ def dense_reference_fit(K, p, opts):
     """The dense path: each start solved alone, K deflated by deflate()."""
     components = []
     for j in range(p):
-        tol_zero, _ = l1._tolerances(K.entries)
+        tol_zero = l1._zero_band(K.entries)
         starts = np.column_stack([default_start(K.entries, tol_zero),
                                   random_starts(K.n, opts.starts - 1, seed=[opts.seed, j])])
         candidates = []
@@ -262,6 +262,61 @@ def test_multistart_fit_is_consistent_with_dense_deflation_chain(family):
         assert comp.objective == float(c @ v)
         npt.assert_array_equal(comp.train_scores, v / np.sqrt(comp.objective))
         npt.assert_array_equal(sign_update(GramMatrix(entries=chain[j]), c), c)
+
+
+def assert_every_component_is_a_fixed_point(K, model):
+    """Each component stopped on sign_fixed and c_i (K_j c)_i >= -band on its deflated K_j."""
+    tol_zero = l1._zero_band(K.entries)
+    for Kj, comp in zip(deflation_chain(K, model), model.components):
+        assert comp.report.terminated_by == "sign_fixed"
+        c = comp.sign_vector
+        assert np.all(c * (Kj @ c) >= -tol_zero)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 11, 16, 20])
+def test_every_component_of_fit_is_a_fixed_point_of_its_deflated_gram(seed):
+    # Duplicated rows under a very wide gaussian leave late components with
+    # objectives near 1e-9 * max|K|; each must still be a true fixed point.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, 3))
+    X[:10] = X[10:20]
+    K = gram(KernelSpec("gaussian", sigma=900.0), kernel.standardize(X))
+    assert_every_component_is_a_fixed_point(K, fit(K, 6, FitOptions(starts=8, seed=seed)))
+
+
+def fit_within_rank(K, p, opts):
+    """fit(K, p, opts), or the components before the first one past the kernel's rank."""
+    try:
+        return fit(K, p, opts)
+    except DegenerateComponent as exc:
+        j = int(str(exc).split(":")[0].removeprefix("component "))
+        assume(j > 0)
+        return fit(K, j, opts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]),
+       n=st.sampled_from([12, 20, 30]), d=st.integers(1, 5), dup=st.integers(0, 15),
+       width=st.sampled_from([0.5, 5.0, 50.0, 150.0, 300.0, 500.0]),
+       degree=st.integers(1, 3), offset=st.floats(0.0, 2.0),
+       p=st.integers(4, 6), seed=st.integers(0, 2**16))
+def test_fit_returns_only_fixed_points_on_psd_kernels(family, n, d, dup, width, degree,
+                                                      offset, p, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    dup = min(dup, n // 2)
+    X[:dup] = X[n - dup:]
+    spec = KernelSpec(family, sigma=width * d, degree=degree, offset=offset)
+    K = gram(spec, kernel.standardize(X))
+    assert_every_component_is_a_fixed_point(
+        K, fit_within_rank(K, p, FitOptions(starts=8, seed=seed)))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_polynomial_kernel_with_offset_zero_fits_to_fixed_points(degree):
+    data, _ = make_instance(804, n=25, d=4)
+    K = gram(KernelSpec("polynomial", degree=degree, offset=0.0), data)
+    assert_every_component_is_a_fixed_point(K, fit(K, 3, FitOptions(starts=8, seed=3)))
 
 
 def test_fit_component_count_validation(two_point_gram):
