@@ -56,4 +56,4 @@ class NumericalFailure(L1KpcaError):
 
 
 class InstanceTooLarge(L1KpcaError):
-    """Exhaustive enumeration was requested beyond the configured size limit."""
+    """Exhaustive enumeration was requested beyond its size cap (oracle.MAX_ENUMERATION_SIZE)."""

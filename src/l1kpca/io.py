@@ -2,18 +2,22 @@
 
 CSV files are comma-separated UTF-8, optionally with a header row and a
 label column ({0,1} or {normal,outlier}); read_csv_raw returns the values
-as written and read_csv standardizes them with their own statistics.
+as written and read_csv standardizes them with their own statistics. The
+values come from one bulk parse; only when it fails is the file scanned
+again, to report the first bad cell's line and column.
 Model files are versioned JSON ("l1kpca/1") of kind "l1" or "l2". One
 envelope serves both kinds: version, kind and kernel spec, then the
 kind's body (L1 components, or L2 eigenvalues and coefficient vectors),
 then the optional training data. Gram matrices are never persisted, so
-files stay O(n*d + n*p) instead of O(n^2).
+files stay O(n*d + n*p) instead of O(n^2). read_model decodes every
+number scoring uses through one typed reader, _numbers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from . import l1, l2
 FORMAT_VERSION = "l1kpca/1"
 
 _LABEL_STRINGS = {"0": 0, "1": 1, "normal": 0, "outlier": 1}
+_NUMBER_FORMS = ("a finite number", "a list of finite numbers", "a matrix of finite numbers")
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,15 @@ def read_csv_raw(file: DatasetFile) -> tuple[np.ndarray, np.ndarray | None]:
     try:
         return _parse_bulk(rows, width, label_idx)
     except (KeyError, ValueError):
-        return _parse_by_cell(rows, width, label_idx)
+        _raise_first_error(rows, width, label_idx)
+        raise  # never reached while float() and numpy's cast agree
 
 
 def _parse_bulk(rows: list, width: int, label_idx: int | None):
     """All rows at once: one label lookup per row, one str -> float cast.
 
-    numpy casts each str with float(), so the values are the ones
-    _parse_by_cell gives. Raises KeyError or ValueError on any bad row;
-    the caller then rescans cell by cell for the first error's position.
+    numpy casts each str with float(). Raises KeyError or ValueError on any
+    bad row; the caller then locates the first error with _raise_first_error.
     """
     if any(len(row) != width for _, row in rows):
         raise ValueError("ragged row")
@@ -96,29 +101,25 @@ def _parse_bulk(rows: list, width: int, label_idx: int | None):
     return np.array(feats, dtype=float), np.asarray(labels, dtype=int)
 
 
-def _parse_by_cell(rows: list, width: int, label_idx: int | None):
-    """Row by row and cell by cell, raising ParseError at the first bad cell."""
-    values, labels = [], []
+def _raise_first_error(rows: list, width: int, label_idx: int | None) -> None:
+    """Raise ParseError at the first ragged row, unknown label or non-numeric cell.
+
+    Row by row and cell by cell; a feature cell is bad where float() refuses
+    it, the same test numpy's cast in _parse_bulk applies. Builds no values.
+    """
     for i, row in rows:
         if len(row) != width:
             raise ParseError(f"ragged row: expected {width} cells, found {len(row)}", line=i)
-        feats = []
         for j, cell in enumerate(row, start=1):
             text = cell.strip()
-            if label_idx is not None and j - 1 == label_idx:
-                key = text.lower()
-                if key not in _LABEL_STRINGS:
+            if j - 1 == label_idx:
+                if text.lower() not in _LABEL_STRINGS:
                     raise ParseError(f"unknown label value {text!r}", line=i, column=j)
-                labels.append(_LABEL_STRINGS[key])
                 continue
             try:
-                feats.append(float(text))
+                float(text)
             except ValueError:
                 raise ParseError(f"non-numeric feature cell {text!r}", line=i, column=j) from None
-        values.append(feats)
-
-    return (np.asarray(values, dtype=float),
-            None if label_idx is None else np.asarray(labels, dtype=int))
 
 
 def read_csv(file: DatasetFile) -> Dataset:
@@ -150,21 +151,40 @@ def _dataset_payload(data: Dataset) -> dict:
     return payload
 
 
+def _numbers(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """payload[key], a JSON number (ndim 0), list of numbers (1) or matrix
+    (2, a list of equal-length lists of numbers), as a finite float array.
+
+    Raises SchemaError for anything else: a string, boolean or null entry,
+    a ragged list, the wrong nesting depth, NaN or infinity. A missing key
+    raises KeyError, which read_model reports as a missing field.
+    """
+    value = payload[key]
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = None
+    # numpy reads true / false among numbers as 1 / 0; where a 1 or 0 appears,
+    # the entries' types are checked too.
+    entries = (value,) if ndim == 0 else value if ndim == 1 else chain.from_iterable(value)
+    if (a is None or a.ndim != ndim or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
+            or (np.any((a == 0) | (a == 1)) and bool in set(map(type, entries)))):
+        raise SchemaError(f"field {key!r} must be {_NUMBER_FORMS[ndim]}")
+    return a.astype(float, copy=False)
+
+
 def _dataset_from(payload: dict) -> Dataset:
     labels = payload.get("labels")
-    data = Dataset(values=np.asarray(payload["values"], dtype=float),
-                   column_means=np.asarray(payload["column_means"], dtype=float),
-                   column_stds=np.asarray(payload["column_stds"], dtype=float),
+    data = Dataset(values=_numbers(payload, "values", 2),
+                   column_means=_numbers(payload, "column_means", 1),
+                   column_stds=_numbers(payload, "column_stds", 1),
                    labels=None if labels is None else np.asarray(labels, dtype=int))
-    if (data.values.ndim != 2
-            or data.column_means.shape != (data.n_features,)
+    if (data.column_means.shape != (data.n_features,)
             or data.column_stds.shape != (data.n_features,)
             or (data.labels is not None and data.labels.shape != (data.n_samples,))):
         raise SchemaError("training data arrays disagree in shape")
-    if not np.all(np.isfinite(data.column_stds) & (data.column_stds > 0)):
-        raise SchemaError("training column stds must be finite and positive")
-    if not (np.all(np.isfinite(data.values)) and np.all(np.isfinite(data.column_means))):
-        raise SchemaError("training values and column means must be finite")
+    if not np.all(data.column_stds > 0):
+        raise SchemaError("training column stds must be positive")
     return data
 
 
@@ -200,10 +220,14 @@ def read_model(path: str):
     l1 / l2, or a malformed model: a missing or mistyped field (any of
     the kernel spec's four included; none is filled with a default), vectors
     whose lengths disagree with each other or with the stored training rows,
-    a sign-vector entry other than -1 / +1, an objective that is not finite
-    and positive, a training column std that is not finite and positive, or
-    a non-finite eigenvalue, eigenvector entry, training score, training
-    value or column mean.
+    a sign-vector entry other than -1 / +1, an objective that is not
+    positive, a training column std that is not positive, or a negative
+    eigenvalue. Every number scoring reads (training values, column means
+    and stds; sign vectors, objectives and training scores; eigenvalues and
+    eigenvectors) must be a finite JSON number: a string, boolean or null
+    in its place, a ragged list, NaN or infinity is a mistyped field.
+    Training labels and the convergence reports are not checked this way:
+    scoring never reads them.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -222,7 +246,7 @@ def read_model(path: str):
         return _model_from(payload)
     except KeyError as exc:
         raise SchemaError(f"model file lacks field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None
 
 
@@ -233,10 +257,10 @@ def _model_from(payload: dict):
     train = _dataset_from(payload["train"]) if "train" in payload else None
     spec = KernelSpec.from_dict(payload["spec"])
     if kind == "l1":
-        components = [l1.ComponentModel(sign_vector=np.asarray(cp["sign_vector"], dtype=float),
-                                        objective=float(cp["objective"]),
+        components = [l1.ComponentModel(sign_vector=_numbers(cp, "sign_vector", 1),
+                                        objective=_numbers(cp, "objective", 0).item(),
                                         report=l1.ConvergenceReport(**cp["report"]),
-                                        train_scores=np.asarray(cp["train_scores"], dtype=float))
+                                        train_scores=_numbers(cp, "train_scores", 1))
                       for cp in payload["components"]]
         if not components:
             raise SchemaError("model file has no components")
@@ -246,18 +270,14 @@ def _model_from(payload: dict):
             raise SchemaError(f"component sign vectors and training scores must all have length {n}")
         if any(np.any(np.abs(comp.sign_vector) != 1.0) for comp in components):
             raise SchemaError("sign vector entries must be exactly -1 or +1")
-        if not all(0 < comp.objective < np.inf for comp in components):
-            raise SchemaError("component objectives must be finite and positive")
-        if not all(np.all(np.isfinite(comp.train_scores)) for comp in components):
-            raise SchemaError("component training scores must be finite")
+        if not all(comp.objective > 0 for comp in components):
+            raise SchemaError("component objectives must be positive")
         return l1.KpcaModel(components=components, spec=spec, train_ref=train)
-    model = l2.EigenModel(eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
-                          coefficient_vectors=np.asarray(payload["coefficient_vectors"], dtype=float),
-                          spec=spec, train_ref=train)
-    U = model.coefficient_vectors
-    if (U.ndim != 2 or model.eigenvalues.shape != (U.shape[1],)
-            or (train is not None and U.shape[0] != train.n_samples)):
+    mu = _numbers(payload, "eigenvalues", 1)
+    U = _numbers(payload, "coefficient_vectors", 2)
+    if mu.shape != (U.shape[1],) or (train is not None and U.shape[0] != train.n_samples):
         raise SchemaError("eigenvalues, eigenvectors and training rows disagree in shape")
-    if not (np.all(np.isfinite(model.eigenvalues)) and np.all(np.isfinite(U))):
-        raise SchemaError("eigenvalues and eigenvectors must be finite")
-    return model
+    # l2_fit writes 0.0 inside the zero band and refuses anything more negative.
+    if np.any(mu < 0):
+        raise SchemaError("eigenvalues must not be negative")
+    return l2.EigenModel(eigenvalues=mu, coefficient_vectors=U, spec=spec, train_ref=train)

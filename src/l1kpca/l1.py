@@ -51,6 +51,8 @@ class FitOptions:
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidData(f"start count {self.starts} must be at least 1")
+        if self.max_iter < 1:
+            raise InvalidData(f"iteration limit {self.max_iter} must be at least 1")
 
 
 def _zero_band(K: np.ndarray) -> float:

@@ -9,7 +9,8 @@ objective: with P the leading entries and Q the trailing ones,
 Each half is enumerated once, about 2^(n/2) patterns apiece, with its own
 quadratic term as a table; the cross terms of a tile of leading patterns
 against all trailing ones are one matrix product. Working memory is one
-~1 MB tile of objectives plus the half-size tables, whatever the limit.
+~1 MB tile of objectives plus the half-size tables, about 1.2 MB at the
+n <= MAX_ENUMERATION_SIZE cap.
 Used to validate the fixed-point solver on small instances, together with
 the max-cut form of the same objective.
 """
@@ -24,7 +25,8 @@ from .errors import InstanceTooLarge
 from .kernel import GramMatrix, _tile_rows
 from .l1 import validate_sign_vector
 
-DEFAULT_LIMIT = 20
+# The search visits 2^(n-1) sign vectors; cap n to bound its time (2^19 at the cap).
+MAX_ENUMERATION_SIZE = 20
 
 
 @dataclass
@@ -56,8 +58,7 @@ def _quadratic_table(rows: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows @ K, rows)
 
 
-def enumerate_sign_vectors(gram_matrix: GramMatrix, limit: int = DEFAULT_LIMIT,
-                           keep_histogram: bool = False) -> OracleResult:
+def enumerate_sign_vectors(gram_matrix: GramMatrix, keep_histogram: bool = False) -> OracleResult:
     """Maximize c'Kc over sign vectors by exhaustive search on the block split.
 
     Code t in [0, 2^(n-1)) stands for the vector with c_0 = +1 and
@@ -77,8 +78,8 @@ def enumerate_sign_vectors(gram_matrix: GramMatrix, limit: int = DEFAULT_LIMIT,
     """
     K = gram_matrix.entries
     n = K.shape[0]
-    if n > limit:
-        raise InstanceTooLarge(f"n={n} exceeds enumeration limit {limit}")
+    if n > MAX_ENUMERATION_SIZE:
+        raise InstanceTooLarge(f"n={n} exceeds enumeration limit {MAX_ENUMERATION_SIZE}")
 
     b = (n - 1) // 2
     p = n - b

@@ -181,6 +181,17 @@ def _set(value, *path):
     return mutate
 
 
+def _as_strings(*path):
+    """Mutation that writes each entry of the list at payload[path[0]][path[1]]... as a string."""
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = [str(x) for x in target[path[-1]]]
+        return payload
+    return mutate
+
+
 def _drop_last(*path):
     """Mutation that removes the last entry of the list at payload[path[0]][path[1]]..."""
     def mutate(payload):
@@ -210,12 +221,20 @@ def _drop_last(*path):
     ("fit", _set(float("nan"), "components", 1, "train_scores", 4)),
     ("fit", _set(float("inf"), "train", "values", 3, 1)),
     ("fit", lambda payload: {**payload, "spec": _without("sigma")(payload["spec"])}),
+    ("fit", _as_strings("components", 0, "sign_vector")),
+    ("fit", _set(True, "components", 0, "sign_vector", 2)),
+    ("fit", _set(True, "components", 1, "objective")),
+    ("fit", _as_strings("train", "values", 5)),
+    ("fit-l2", _as_strings("coefficient_vectors", 3)),
+    ("fit-l2", _set(-1.0, "eigenvalues", 0)),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
         "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
         "l2-without-spec", "l1-objective-not-a-number", "l1-objective-negative",
         "l1-sign-entry-not-unit", "training-std-zero", "l2-eigenvalue-nan",
-        "l1-train-score-nan", "train-value-inf", "spec-without-sigma"])
+        "l1-train-score-nan", "train-value-inf", "spec-without-sigma",
+        "l1-sign-entries-as-strings", "l1-sign-entry-true", "l1-objective-true",
+        "train-value-row-as-strings", "l2-eigenvector-row-as-strings", "l2-eigenvalue-negative"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model
@@ -345,6 +364,18 @@ def test_fit_rejects_start_count_below_one_with_data_error(tmp_path, capsys, sta
     assert code == 3
     assert out == ""
     assert err == f"l1kpca: start count {starts} must be at least 1\n"
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_fit_rejects_iteration_limit_below_one_with_data_error(tmp_path, capsys, max_iter):
+    noisy, _ = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4",
+                             "--max-iter", max_iter, "--model", str(model_path))
+    assert code == 3
+    assert out == ""
+    assert err == f"l1kpca: iteration limit {max_iter} must be at least 1\n"
     assert not model_path.exists()
 
 

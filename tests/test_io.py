@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import deflation_chain, make_instance
-from l1kpca import (DatasetFile, FitOptions, InvalidData, ParseError, SchemaError,
-                    build_detector, fit, gram, l2_fit, read_csv, read_model, transform,
-                    write_csv, write_model)
+from l1kpca import (DatasetFile, DegenerateComponent, FitOptions, InvalidData, ParseError,
+                    SchemaError, build_detector, fit, gram, l2_fit, read_csv, read_model,
+                    transform, write_csv, write_model)
 from l1kpca.io import FORMAT_VERSION, read_csv_raw
 
 
@@ -205,6 +205,60 @@ def test_model_file_from_before_the_single_stopping_rule_still_loads(tmp_path):
     loaded = read_model(str(path))
     assert loaded.components[1].report.terminated_by == "quadratic_form_zero"
     npt.assert_array_equal(transform(loaded, data), transform(model, data))
+
+
+def _rewritten_l1_model(tmp_path, path, value):
+    """An L1 model file whose entry at path (a key or index per level) holds value."""
+    data, K = make_instance(8, n=10, d=4, family="gaussian", sigma=2.0)
+    model_path = tmp_path / "model.json"
+    write_model(fit(K, 2, FitOptions(starts=8, seed=8), train=data), str(model_path))
+    payload = json.loads(model_path.read_text())
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    model_path.write_text(json.dumps(payload))
+    return str(model_path)
+
+
+@pytest.mark.parametrize("path, value, form", [
+    (("components", 0, "sign_vector", 0), "1", "a list of finite numbers"),
+    (("components", 1, "sign_vector", 3), None, "a list of finite numbers"),
+    (("components", 0, "objective"), "7.5", "a finite number"),
+    (("components", 0, "objective"), 10**400, "a finite number"),
+    (("components", 1, "train_scores", 2), False, "a list of finite numbers"),
+    (("train", "values", 1), [1.0], "a matrix of finite numbers"),
+    (("train", "column_means"), [[0.0] * 4], "a list of finite numbers"),
+    (("train", "column_stds", 0), float("inf"), "a list of finite numbers"),
+], ids=["sign-string", "sign-null", "objective-string", "objective-past-float-range",
+        "score-false", "values-ragged", "means-nested", "std-inf"])
+def test_model_numbers_are_read_as_finite_json_numbers(tmp_path, path, value, form):
+    field = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(SchemaError, match=f"^field '{field}' must be {form}$"):
+        read_model(_rewritten_l1_model(tmp_path, path, value))
+
+
+def test_model_label_past_the_integer_range_is_a_schema_error(tmp_path):
+    path = _rewritten_l1_model(tmp_path, ("train", "labels"), [10**400] * 10)
+    with pytest.raises(SchemaError, match="^malformed model file: "):
+        read_model(path)
+
+
+def test_l2_model_past_the_kernel_rank_loads_and_refuses_scoring(tmp_path):
+    data, K = make_instance(9, n=12, d=3)  # standardized linear: rank 3
+    model = l2_fit(K, 5)
+    model.train_ref = data
+    path = tmp_path / "l2.json"
+    write_model(model, str(path))
+    loaded = read_model(str(path))
+    npt.assert_array_equal(loaded.eigenvalues[3:], 0.0)
+    with pytest.raises(DegenerateComponent):
+        transform(loaded, data)
+    payload = json.loads(path.read_text())
+    payload["eigenvalues"][4] = -1e-300
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match="^eigenvalues must not be negative$"):
+        read_model(str(path))
 
 
 @pytest.mark.parametrize("field", ["family", "sigma", "degree", "offset"])

@@ -332,6 +332,12 @@ def test_fit_options_reject_start_count_below_one(starts):
         FitOptions(starts=starts)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_fit_options_reject_iteration_limit_below_one(max_iter):
+    with pytest.raises(InvalidData, match=rf"^iteration limit {max_iter} must be at least 1$"):
+        FitOptions(max_iter=max_iter)
+
+
 def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
     # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
     _, K = make_instance(42, n=12, d=3)
