@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--noise-scale", type=float, default=5.0)
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count for sweep cells (results are identical at any value)")
 
     p = add_parser("bench", help="wall-clock comparison of full L1 and L2 fits")
     p.add_argument("--data", nargs="+", required=True, help="CSV files")
@@ -242,8 +240,7 @@ def _cmd_robustness(args) -> None:
     cfg = experiments.SynthConfig(n=args.n, d=args.d, rank=args.rank,
                                   noise_scale=args.noise_scale, seed=args.seed)
     rows = experiments.robustness_sweep(r_values, [spec], cfg=cfg, p=args.p,
-                                        n_seeds=args.seeds, starts=args.starts,
-                                        threads=args.threads)
+                                        n_seeds=args.seeds, starts=args.starts)
     _emit(args, {"results": [r.to_dict() for r in rows]},
           csv_rows=[[r.r_percent, r.kernel["family"], repr(r.tev_l1), repr(r.tev_l2), r.p]
                     for r in rows],

@@ -16,8 +16,8 @@ could capture (the top-p eigenvalue sum of the normal Gram).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -142,29 +142,23 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
 
 
 def robustness_sweep(r_values, specs, cfg: SynthConfig = SynthConfig(), p: int = 4,
-                     n_seeds: int = 10, starts: int = l1.DEFAULT_STARTS,
-                     threads: int = 1) -> list[RobustnessResult]:
+                     n_seeds: int = 10, starts: int = l1.DEFAULT_STARTS) -> list[RobustnessResult]:
     """Mean explained-variation of both solvers over a (r, kernel) grid.
 
-    Per-cell datasets are seeded from (cfg.seed, cell index), so serial
-    and threaded runs produce identical rows; rows are emitted in grid
-    order regardless of completion order. A seed count below 1 raises
-    InvalidData: a cell with no instance has no mean.
+    Rows come in grid order, kernels outer and r inner. The k-th instance
+    of the cell at grid position idx has the seed
+    default_rng([cfg.seed, idx, k]).integers(2**31), so a cell's instances
+    depend on its position alone, not on which cells ran before it. A seed
+    count below 1 raises InvalidData: a cell with no instance has no mean.
     """
     if n_seeds < 1:
         raise InvalidData(f"seed count {n_seeds} must be at least 1")
-    cells = [(r, spec) for spec in specs for r in r_values]
-    seed_lists = [[int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31))
-                   for k in range(n_seeds)] for idx in range(len(cells))]
-
-    def run(idx: int) -> RobustnessResult:
-        r, spec = cells[idx]
-        return _sweep_cell(r, spec, cfg, p, seed_lists[idx], starts)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(cells))))
-    return [run(idx) for idx in range(len(cells))]
+    rows = []
+    for idx, (spec, r) in enumerate(product(specs, r_values)):
+        seeds = [int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31))
+                 for k in range(n_seeds)]
+        rows.append(_sweep_cell(r, spec, cfg, p, seeds, starts))
+    return rows
 
 
 def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,

@@ -188,6 +188,16 @@ def _dataset_from(payload: dict) -> Dataset:
     return data
 
 
+def _spec_from(payload: dict) -> KernelSpec:
+    """The kernel spec write_model wrote; the degree comes back as an int,
+    so the polynomial kernel's power keeps its bits."""
+    degree = _numbers(payload, "degree", 0).item()
+    if not degree.is_integer():
+        raise SchemaError(f"field 'degree' must be an integer, got {degree}")
+    return KernelSpec(family=payload["family"], sigma=_numbers(payload, "sigma", 0).item(),
+                      degree=int(degree), offset=_numbers(payload, "offset", 0).item())
+
+
 def _component_payload(comp: l1.ComponentModel) -> dict:
     return {"sign_vector": [int(x) for x in comp.sign_vector],
             "objective": comp.objective,
@@ -222,12 +232,13 @@ def read_model(path: str):
     whose lengths disagree with each other or with the stored training rows,
     a sign-vector entry other than -1 / +1, an objective that is not
     positive, a training column std that is not positive, or a negative
-    eigenvalue. Every number scoring reads (training values, column means
+    eigenvalue. The kernel spec's sigma, degree and offset (whatever the
+    family) and every number scoring reads (training values, column means
     and stds; sign vectors, objectives and training scores; eigenvalues and
-    eigenvectors) must be a finite JSON number: a string, boolean or null
-    in its place, a ragged list, NaN or infinity is a mistyped field.
-    Training labels and the convergence reports are not checked this way:
-    scoring never reads them.
+    eigenvectors) must be finite JSON numbers: a string, boolean or null in
+    their place, a ragged list, NaN or infinity is a mistyped field, and so
+    is a degree that is not a whole number. Training labels and the
+    convergence reports are not checked this way: scoring never reads them.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -255,7 +266,7 @@ def _model_from(payload: dict):
     if kind not in ("l1", "l2"):
         raise SchemaError(f"unknown model kind {kind!r}")
     train = _dataset_from(payload["train"]) if "train" in payload else None
-    spec = KernelSpec.from_dict(payload["spec"])
+    spec = _spec_from(payload["spec"])
     if kind == "l1":
         components = [l1.ComponentModel(sign_vector=_numbers(cp, "sign_vector", 1),
                                         objective=_numbers(cp, "objective", 0).item(),

@@ -12,12 +12,13 @@ All three give positive semidefinite Gram matrices, which the sign
 iteration in l1 needs to reach a fixed point in finitely many passes.
 
 Datasets, kernel specs and Gram matrices are frozen after construction
-(arrays are marked read-only), so they can be shared across threads.
+(arrays are marked read-only), so no later step can change them in place.
 
-Memory: a Gram matrix peaks at about n^2 floats plus one ~1 MB working
-tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about m*n floats
-plus the m + n row norms. The gaussian Gram is evaluated in row tiles of
-explicit differences, so its entries keep the dense formula's bits. The
+Memory: a Gram matrix of any family peaks at about n^2 floats plus one
+~1 MB working tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about
+m*n floats plus the m + n row norms. The polynomial kernel is evaluated
+in place on the product a.b. The gaussian Gram is evaluated in row tiles
+of explicit differences, so its entries keep the dense formula's bits. The
 gaussian cross-Gram is one matrix product through the norm expansion
 ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, and matches kernel_eval within the
 rounding of that expansion. Every family's Gram is mirrored in place,
@@ -95,11 +96,6 @@ class KernelSpec:
     def to_dict(self) -> dict:
         return {"family": self.family, "sigma": self.sigma,
                 "degree": self.degree, "offset": self.offset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        """The spec to_dict wrote; a missing field raises KeyError, never a default."""
-        return cls(family=d["family"], sigma=d["sigma"], degree=d["degree"], offset=d["offset"])
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,9 @@ def _pairwise(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarr
         np.maximum(out, 0.0, out=out)
         out /= -2.0 * spec.sigma**2
         return np.exp(out, out=out)
-    return (out + spec.offset) ** spec.degree
+    out += spec.offset
+    out **= spec.degree
+    return out
 
 
 def _mirror_upper(entries: np.ndarray) -> None:
@@ -242,17 +240,25 @@ def _mirror_upper(entries: np.ndarray) -> None:
 def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
     """Pairwise kernel matrix of a dataset, exactly symmetric by mirroring.
 
-    The gaussian kernel is evaluated on the upper triangle only.
+    The gaussian kernel is evaluated on the upper triangle only. A kernel
+    whose values overflow or are undefined on this data (a gaussian width
+    so small that 2 sigma^2 rounds to 0, a polynomial past the float
+    range) raises InvalidData.
     """
     n = data.n_samples
     if n > MAX_GRAM_SIZE:
         raise InvalidData(f"n={n} exceeds the dense Gram cap of {MAX_GRAM_SIZE}")
     values = data.values
-    if spec.family == "gaussian":
-        entries = _gaussian(spec, values)
-    else:
-        entries = _pairwise(spec, values, values)
+    # Non-finite entries are refused below, so their float warnings are noise.
+    with np.errstate(all="ignore"):
+        if spec.family == "gaussian":
+            entries = _gaussian(spec, values)
+        else:
+            entries = _pairwise(spec, values, values)
     _mirror_upper(entries)
+    # max and min propagate NaN and reach any infinity without an n x n temporary.
+    if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
+        raise InvalidData(f"the {spec.family} kernel gives non-finite Gram entries on this data")
     return GramMatrix(entries=entries, spec=spec)
 
 

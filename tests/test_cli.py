@@ -227,6 +227,12 @@ def _drop_last(*path):
     ("fit", _as_strings("train", "values", 5)),
     ("fit-l2", _as_strings("coefficient_vectors", 3)),
     ("fit-l2", _set(-1.0, "eigenvalues", 0)),
+    ("fit", _set(True, "spec", "sigma")),
+    ("fit", _set("4", "spec", "sigma")),
+    ("fit", _set(None, "spec", "sigma")),
+    ("fit", _set(True, "spec", "degree")),
+    ("fit", _set(2.5, "spec", "degree")),
+    ("fit", _set("1", "spec", "offset")),
 ], ids=["l1-without-components", "l1-without-spec", "l2-without-eigenvalues",
         "top-level-list", "training-rows-differ-from-sign-vectors", "l1-no-components",
         "l2-fewer-eigenvalues-than-vectors", "training-statistics-differ-in-width",
@@ -234,7 +240,9 @@ def _drop_last(*path):
         "l1-sign-entry-not-unit", "training-std-zero", "l2-eigenvalue-nan",
         "l1-train-score-nan", "train-value-inf", "spec-without-sigma",
         "l1-sign-entries-as-strings", "l1-sign-entry-true", "l1-objective-true",
-        "train-value-row-as-strings", "l2-eigenvector-row-as-strings", "l2-eigenvalue-negative"])
+        "train-value-row-as-strings", "l2-eigenvector-row-as-strings", "l2-eigenvalue-negative",
+        "spec-sigma-true", "spec-sigma-as-string", "spec-sigma-null", "spec-degree-true",
+        "spec-degree-not-whole", "spec-offset-as-string"])
 def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, capsys,
                                                                   command, mutate):
     from l1kpca import SchemaError, read_model
@@ -262,6 +270,23 @@ def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
                              "--kernel", "poly", "--offset", "-1", *model_flags)
     assert (code, out) == (3, "")
     assert err == "l1kpca: polynomial offset must be non-negative, got -1.0\n"
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-l2", "detect"])
+@pytest.mark.parametrize("flags, family", [
+    (("--kernel", "gaussian", "--sigma", "1e-200"), "gaussian"),
+    (("--kernel", "poly", "--offset", "inf"), "polynomial"),
+    (("--kernel", "poly", "--offset", "1e300", "--degree", "3"), "polynomial"),
+], ids=["gaussian-width-underflows", "poly-offset-inf", "poly-overflows"])
+def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, flags, family):
+    noisy, _ = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "model.json"
+    model_flags = () if command == "detect" else ("--model", str(model_path))
+    code, out, err = run_cli(capsys, command, "--data", str(noisy), "--label-column", "4",
+                             *flags, *model_flags)
+    assert (code, out) == (3, "")
+    assert err == f"l1kpca: the {family} kernel gives non-finite Gram entries on this data\n"
     assert not model_path.exists()
 
 
@@ -377,6 +402,12 @@ def test_fit_rejects_iteration_limit_below_one_with_data_error(tmp_path, capsys,
     assert out == ""
     assert err == f"l1kpca: iteration limit {max_iter} must be at least 1\n"
     assert not model_path.exists()
+
+
+def test_robustness_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["robustness", "--grid", "10", "--seeds", "1", "--threads", "2"])
+    assert info.value.code == 2
 
 
 def test_oracle_has_no_limit_flag(tmp_path, capsys):

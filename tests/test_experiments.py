@@ -9,6 +9,7 @@ from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec,
                     SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
                     runtime_bench, synth_generate, total_explained_variation)
 from l1kpca import l2
+from l1kpca.experiments import _sweep_cell
 from l1kpca.l1 import KpcaModel
 
 
@@ -146,14 +147,26 @@ def test_tev_argument_validation():
 
 # ------------------------------------------------------------------- sweeps
 
-def test_sweep_single_cell_is_deterministic_and_thread_independent():
+def test_sweep_single_cell_is_deterministic():
     cfg = SynthConfig(n=40, d=5, rank=2, seed=11)
-    serial = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=2)
-    threaded = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2,
-                                n_seeds=2, threads=4)
-    assert len(serial) == 1
-    assert serial[0].to_dict() == threaded[0].to_dict()
-    assert 0.0 <= serial[0].tev_l1 <= 100.0 + 1e-6
+    first = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=2)
+    second = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=2)
+    assert len(first) == 1
+    assert first[0].to_dict() == second[0].to_dict()
+    assert 0.0 <= first[0].tev_l1 <= 100.0 + 1e-6
+
+
+def test_sweep_rows_are_cells_seeded_by_grid_position():
+    cfg = SynthConfig(n=24, d=4, rank=2, seed=5)
+    specs = [KernelSpec("linear"), KernelSpec("gaussian", sigma=4.0)]
+    r_values = [5.0, 10.0, 20.0]
+    rows = robustness_sweep(r_values, specs, cfg=cfg, p=2, n_seeds=2, starts=4)
+    grid = [(r, spec) for spec in specs for r in r_values]
+    assert len(rows) == len(grid)
+    for idx, ((r, spec), row) in enumerate(zip(grid, rows)):
+        seeds = [int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31)) for k in range(2)]
+        assert row.seeds == seeds
+        assert row.to_dict() == _sweep_cell(r, spec, cfg, 2, seeds, 4).to_dict()
 
 
 def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):

@@ -207,7 +207,9 @@ def test_tiled_kernels_equal_dense_reference(monkeypatch, n, m, d, sigma, tile_b
     rng = np.random.default_rng(seed)
     train = raw_dataset(rng.standard_normal((n, d)))
     query = raw_dataset(rng.standard_normal((m, d)))
+    # The polynomial reference takes its power out of place, the kernel in place.
     for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=sigma),
+                 KernelSpec("polynomial", degree=1, offset=0.0), KernelSpec("polynomial"),
                  KernelSpec("polynomial", degree=3, offset=0.5)):
         assert np.array_equal(gram(spec, train).entries, dense_gram(spec, train.values))
         if spec.family != "gaussian":  # the gaussian cross-Gram is bounded below
@@ -271,3 +273,15 @@ def test_gaussian_gram_and_cross_gram_peak_at_one_matrix_plus_a_tile():
         tracemalloc.stop()
     assert gram_peak <= 1.25 * 8 * n * n
     assert cross_peak <= 1.25 * 8 * m * n
+
+
+def test_polynomial_gram_peaks_at_one_matrix_plus_a_tile():
+    n, d = 1500, 20
+    data = raw_dataset(np.random.default_rng(22).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        gram(KernelSpec("polynomial", degree=3), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * n * n
