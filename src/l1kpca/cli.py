@@ -255,7 +255,7 @@ def _cmd_bench(args) -> None:
         # sigma defaults to each dataset's own feature count
         specs = [_spec(fam.strip(), args.sigma, data.n_features) for fam in args.kernels.split(",")]
         rows += experiments.runtime_bench({path: data}, specs, p=args.components,
-                                          starts=args.starts)
+                                          starts=args.starts, seed=args.seed)
     _emit(args, {"results": rows},
           csv_rows=[[r["dataset"], r["kernel"]["family"], r["method"], r["p"],
                      f"{r['seconds']:.6f}"] for r in rows],

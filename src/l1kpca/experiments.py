@@ -10,7 +10,10 @@ corrupted ones; both are standardized independently.
 Robustness is measured as Total Explained Variation: 100 times the
 variation of the normal dataset captured by p loading directions fit on
 the noisy dataset, divided by the maximum any p orthonormal directions
-could capture (the top-p eigenvalue sum of the normal Gram).
+could capture (the top-p eigenvalue sum of the normal kernel matrix).
+That denominator comes from an eigenvalue-only solve; the sweep builds the
+normal kernel matrix with cross_gram, one product like the numerator's
+cross-Gram, so its gaussian entries match gram's within rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData
-from .kernel import Dataset, GramMatrix, KernelSpec, cross_gram, gram, standardize
+from .kernel import (Dataset, GramMatrix, KernelSpec, cross_gram, gram, require_finite,
+                     standardize)
 from . import l1, l2
 
 
@@ -104,12 +108,19 @@ def total_explained_variation(normal_gram: GramMatrix, model, cross: np.ndarray,
     if not 1 <= p <= available:
         raise InvalidData(f"p={p} not in [1, {available}]")
 
-    return _explained_percent(model, cross, p, _capturable_variation(normal_gram, p))
+    denominator = _capturable_variation(normal_gram.spec, normal_gram.entries, p)
+    return _explained_percent(model, cross, p, denominator)
 
 
-def _capturable_variation(normal_gram: GramMatrix, p: int) -> float:
-    """TEV denominator: the top-p eigenvalue sum of the normal Gram."""
-    denominator = float(l2.l2_fit(normal_gram, p).eigenvalues.sum())
+def _capturable_variation(spec: KernelSpec, normal_matrix: np.ndarray, p: int) -> float:
+    """TEV denominator: the top-p eigenvalue sum of the normal kernel matrix.
+
+    The eigenvalues come from l2.top_eigenvalues, which computes no
+    eigenvectors and reads the lower triangle only, under l2_fit's rule. A
+    non-finite matrix raises the InvalidData that gram raises.
+    """
+    require_finite(spec, normal_matrix)
+    denominator = float(l2.top_eigenvalues(normal_matrix, p).sum())
     if denominator <= 0:
         raise DegenerateComponent("normal dataset has no capturable variation")
     return denominator
@@ -127,13 +138,13 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
         cell_cfg = replace(cfg, r_percent=r, seed=seed)
         noisy, normal, _ = synth_generate(cell_cfg)
         K_noisy = gram(spec, noisy)
-        K_normal = gram(spec, normal)
         cross = cross_gram(spec, noisy, normal)
+        # One eigenvalue-only solve per seed, shared by both solvers, on the
+        # normal kernel matrix from the same one-product path as cross.
+        denominator = _capturable_variation(spec, cross_gram(spec, normal, normal), p)
 
         model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed))
         model2 = l2.l2_fit(K_noisy, p)
-        # One denominator eigh per seed, shared by both solvers.
-        denominator = _capturable_variation(K_normal, p)
         tev1.append(_explained_percent(model1, cross, p, denominator))
         tev2.append(_explained_percent(model2, cross, p, denominator))
     return RobustnessResult(r_percent=r, kernel=spec.to_dict(),
@@ -162,12 +173,12 @@ def robustness_sweep(r_values, specs, cfg: SynthConfig = SynthConfig(), p: int =
 
 
 def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,
-                  starts: int = l1.DEFAULT_STARTS) -> list[dict]:
+                  starts: int = l1.DEFAULT_STARTS, seed: int = 0) -> list[dict]:
     """Wall-clock seconds of full L1 and L2 fits on each dataset x kernel.
 
     Timing includes Gram construction (it dominates growth in n). p
-    defaults to min(n, d) per dataset. Runs serially to avoid contention
-    skew.
+    defaults to min(n, d) per dataset; seed seeds the L1 fit's random
+    starts. Runs serially to avoid contention skew.
     """
     rows = []
     for name, data in datasets.items():
@@ -176,7 +187,7 @@ def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,
 
             t0 = time.perf_counter()
             K = gram(spec, data)
-            l1.fit(K, n_comp, l1.FitOptions(starts=starts))
+            l1.fit(K, n_comp, l1.FitOptions(starts=starts, seed=seed))
             t1 = time.perf_counter()
             rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l1",
                          "p": n_comp, "seconds": t1 - t0})

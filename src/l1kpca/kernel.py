@@ -237,6 +237,13 @@ def _mirror_upper(entries: np.ndarray) -> None:
         entries[b:, a:b] = entries[a:b, b:].T
 
 
+def require_finite(spec: KernelSpec, entries: np.ndarray) -> None:
+    """Raise InvalidData unless every entry of a kernel matrix is finite."""
+    # max and min propagate NaN and reach any infinity without an n x n temporary.
+    if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
+        raise InvalidData(f"the {spec.family} kernel gives non-finite Gram entries on this data")
+
+
 def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
     """Pairwise kernel matrix of a dataset, exactly symmetric by mirroring.
 
@@ -256,9 +263,7 @@ def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
         else:
             entries = _pairwise(spec, values, values)
     _mirror_upper(entries)
-    # max and min propagate NaN and reach any infinity without an n x n temporary.
-    if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
-        raise InvalidData(f"the {spec.family} kernel gives non-finite Gram entries on this data")
+    require_finite(spec, entries)
     return GramMatrix(entries=entries, spec=spec)
 
 

@@ -1,7 +1,8 @@
 """L2-norm kernel PCA baseline: symmetric eigendecomposition of the Gram.
 
-Used for robustness and runtime comparisons against the L1 solver and as
-the orthonormal-maximum denominator of the explained-variation metric.
+Used for robustness and runtime comparisons against the L1 solver. Its
+eigenvalue rule, applied to an eigenvalue-only solve (top_eigenvalues),
+gives the orthonormal-maximum denominator of the explained-variation metric.
 No feature-space centering (inputs are column-standardized instead).
 """
 
@@ -64,6 +65,29 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * signs
 
 
+def _eigenvalue_rule(eigvals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the top p eigenvalues, by l2_fit's rule."""
+    order = np.argsort(eigvals)[::-1][:p]
+    mu = eigvals[order]
+    top = float(mu[0])
+    if top < 0:
+        raise InvalidData("kernel matrix has no nonnegative eigenvalue")
+    if np.any(mu < -1e-8 * max(top, 1e-300)):
+        raise InvalidData(f"kernel matrix is not positive semidefinite (eigenvalue {mu.min():.3e})")
+    return order, np.where(mu <= 1e-12 * eigvals.shape[0] * top, 0.0, mu)
+
+
+def _solve(eig, K: np.ndarray, p: int):
+    """eig(K), np.linalg.eigh or eigvalsh, for the top p; failures as package errors."""
+    n = K.shape[0]
+    if not 1 <= p <= n:
+        raise InvalidData(f"component count {p} not in [1, {n}]")
+    try:
+        return eig(K)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+
+
 def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     """Top-p eigenpairs of K, eigenvalues descending.
 
@@ -74,24 +98,19 @@ def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     clipped too; anything more negative among the top p means the kernel
     is not positive semidefinite and raises InvalidData.
     """
-    K = gram_matrix.entries
-    n = K.shape[0]
-    if not 1 <= p <= n:
-        raise InvalidData(f"component count {p} not in [1, {n}]")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(eigvals)[::-1][:p]
-    mu = eigvals[order]
-    U = _fix_signs(eigvecs[:, order])
-    top = float(mu[0])
-    if top < 0:
-        raise InvalidData("kernel matrix has no nonnegative eigenvalue")
-    if np.any(mu < -1e-8 * max(top, 1e-300)):
-        raise InvalidData(f"kernel matrix is not positive semidefinite (eigenvalue {mu.min():.3e})")
-    mu = np.where(mu <= 1e-12 * n * top, 0.0, mu)
-    return EigenModel(eigenvalues=mu, coefficient_vectors=U, spec=gram_matrix.spec)
+    eigvals, eigvecs = _solve(np.linalg.eigh, gram_matrix.entries, p)
+    order, mu = _eigenvalue_rule(eigvals, p)
+    return EigenModel(eigenvalues=mu, coefficient_vectors=_fix_signs(eigvecs[:, order]),
+                      spec=gram_matrix.spec)
+
+
+def top_eigenvalues(K: np.ndarray, p: int) -> np.ndarray:
+    """The eigenvalues l2_fit keeps for K, from a solve without eigenvectors.
+
+    np.linalg.eigvalsh reads the lower triangle of K only, so K may be a
+    kernel matrix that is symmetric only up to rounding.
+    """
+    return _eigenvalue_rule(_solve(np.linalg.eigvalsh, K, p), p)[1]
 
 
 def l2_scores(model: EigenModel, gram_or_cross: np.ndarray) -> np.ndarray:

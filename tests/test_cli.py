@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from l1kpca import l1
 from l1kpca.cli import main
 
 
@@ -106,6 +107,22 @@ def test_bench_subcommand(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)["results"]
     assert {row["method"] for row in rows} == {"l1", "l2"}
+
+
+def test_bench_seeds_the_l1_fit(tmp_path, capsys, monkeypatch):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=30, d=4)
+    seeds = []
+    real_fit = l1.fit
+
+    def recording_fit(K, p, options=None, **kwargs):
+        seeds.append(options.seed)
+        return real_fit(K, p, options, **kwargs)
+
+    monkeypatch.setattr(l1, "fit", recording_fit)
+    code, _, _ = run_cli(capsys, "bench", "--data", str(noisy), "--label-column", "4",
+                         "--kernels", "linear,gaussian", "--components", "2", "--seed", "5")
+    assert code == 0
+    assert seeds == [5, 5]
 
 
 def test_bench_resolves_gaussian_sigma_per_dataset(tmp_path, capsys):
@@ -273,7 +290,7 @@ def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "fit-l2", "detect"])
+@pytest.mark.parametrize("command", ["fit", "fit-l2", "detect", "robustness"])
 @pytest.mark.parametrize("flags, family", [
     (("--kernel", "gaussian", "--sigma", "1e-200"), "gaussian"),
     (("--kernel", "poly", "--offset", "inf"), "polynomial"),
@@ -282,9 +299,13 @@ def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
 def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, flags, family):
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "model.json"
-    model_flags = () if command == "detect" else ("--model", str(model_path))
-    code, out, err = run_cli(capsys, command, "--data", str(noisy), "--label-column", "4",
-                             *flags, *model_flags)
+    if command == "robustness":  # generates its own data
+        data_flags = ("--grid", "10", "--seeds", "1", "--n", "24", "--d", "4", "--rank", "2",
+                      "--p", "2")
+    else:
+        data_flags = ("--data", str(noisy), "--label-column", "4")
+    model_flags = () if command in ("detect", "robustness") else ("--model", str(model_path))
+    code, out, err = run_cli(capsys, command, *data_flags, *flags, *model_flags)
     assert (code, out) == (3, "")
     assert err == f"l1kpca: the {family} kernel gives non-finite Gram entries on this data\n"
     assert not model_path.exists()

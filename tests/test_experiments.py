@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import raw_dataset
-from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec,
+from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
-                    runtime_bench, synth_generate, total_explained_variation)
+                    runtime_bench, standardize, synth_generate, total_explained_variation)
 from l1kpca import l2
-from l1kpca.experiments import _sweep_cell
+from l1kpca.experiments import _capturable_variation, _sweep_cell
 from l1kpca.l1 import KpcaModel
 
 
@@ -145,6 +146,56 @@ def test_tev_argument_validation():
         total_explained_variation(gram(spec, normal), "nope", cross, 1)
 
 
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]), n=st.integers(6, 60),
+       d=st.integers(1, 8), sigma=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_tev_denominator_matches_l2_fit_on_the_gram(family, n, d, sigma, seed, data):
+    normal = standardize(np.random.default_rng(seed).standard_normal((n, d)))
+    # Up to and past the linear kernel's rank min(n - 1, d).
+    p = data.draw(st.integers(1, min(n, d + 3)), label="p")
+    spec = KernelSpec(family, sigma=sigma)
+    K_product = cross_gram(spec, normal, normal)
+    G = gram(spec, normal)
+    expected = float(l2_fit(G, p).eigenvalues.sum())
+    tol = 1e-12 * expected
+    if family == "gaussian":
+        # Entrywise, the expansion bound of kernel._pairwise; each of the top
+        # p eigenvalues then moves by at most the perturbation's norm.
+        eps = np.finfo(float).eps
+        norms = (normal.values**2).sum(axis=1)
+        delta = 4 * (d + 2) * eps * (norms[:, None] + norms) / (2.0 * sigma**2)
+        bound = (delta + 4 * eps) * np.maximum(K_product, G.entries)
+        tol += p * np.linalg.norm(bound)
+    assert abs(_capturable_variation(spec, K_product, p) - expected) <= tol
+
+    rank = min(n - 1, d)
+    if family == "linear" and p > rank:
+        # The eigenvalues past the rank fall in the zero band and are clipped.
+        assert np.all(l2.top_eigenvalues(K_product, p)[rank:] == 0.0)
+
+
+def test_tev_denominator_refuses_like_gram_and_l2_fit():
+    data = standardize(np.random.default_rng(3).standard_normal((8, 3)))
+    tiny = KernelSpec("gaussian", sigma=1e-200)
+    with pytest.raises(InvalidData) as from_gram:
+        gram(tiny, data)
+    with np.errstate(all="ignore"):
+        non_finite = cross_gram(tiny, data, data)
+    with pytest.raises(InvalidData) as refused:
+        _capturable_variation(tiny, non_finite, 2)
+    assert str(refused.value) == str(from_gram.value)
+
+    # eigenvalues 3 and -1; then -1 and -1
+    for entries in ([[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]):
+        K = np.array(entries)
+        with pytest.raises(InvalidData) as from_l2_fit:
+            l2_fit(GramMatrix(entries=K), 2)
+        with pytest.raises(InvalidData) as refused:
+            _capturable_variation(KernelSpec("linear"), K, 2)
+        assert str(refused.value) == str(from_l2_fit.value)
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_single_cell_is_deterministic():
@@ -172,16 +223,22 @@ def test_sweep_rows_are_cells_seeded_by_grid_position():
 def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
     cfg = SynthConfig(n=30, d=4, rank=2, seed=12)
     calls = []
-    real_l2_fit = l2.l2_fit
 
-    def counting_l2_fit(*args, **kwargs):
-        calls.append(1)
-        return real_l2_fit(*args, **kwargs)
+    def counting(name):
+        real = getattr(l2, name)
 
-    monkeypatch.setattr(l2, "l2_fit", counting_l2_fit)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("l2_fit", "top_eigenvalues"):
+        monkeypatch.setattr(l2, name, counting(name))
     row = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=3)[0]
     monkeypatch.undo()
-    assert len(calls) == 2 * 3  # per seed: the L2 model and the shared denominator
+    # Per seed: one eigenvector solve for the L2 model and one eigenvalue-only
+    # solve for the denominator both solvers share.
+    assert sorted(calls) == ["l2_fit"] * 3 + ["top_eigenvalues"] * 3
 
     # The same values as scoring each model with the public function.
     spec = KernelSpec("linear")
