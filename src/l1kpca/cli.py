@@ -19,6 +19,9 @@ from .errors import InvalidData, L1KpcaError
 from .kernel import KernelSpec, gram, standardize_with
 from .oracle import enumerate_sign_vectors
 
+# The commands whose output is a table of rows: only they offer --format csv.
+TABLE_COMMANDS = ("transform", "detect", "robustness", "bench")
+
 
 def _add_data_flags(parser):
     parser.add_argument("--data", required=True, help="CSV file of samples")
@@ -42,18 +45,19 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output", default="-", help="output path, or - for stdout")
-    common.add_argument("--format", choices=["json", "jsonl", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
+        p = sub.add_parser(name, help=help, parents=[common])
+        formats = ["json", "jsonl", "csv"] if name in TABLE_COMMANDS else ["json", "jsonl"]
+        p.add_argument("--format", choices=formats, default="json")
+        return p
 
     p = add_parser("fit", help="fit an L1 model")
     _add_data_flags(p)
     _add_kernel_flags(p)
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
-    p.add_argument("--max-iter", type=int, default=l1.DEFAULT_MAX_ITER)
     p.add_argument("--model", required=True, help="where to write the fitted model")
 
     p = add_parser("fit-l2", help="fit the L2 baseline")
@@ -135,10 +139,10 @@ def _kernel_spec(args, n_features: int) -> KernelSpec:
     return _spec(args.kernel, args.sigma, n_features, args.degree, args.offset)
 
 
-def _data_and_gram(args):
-    """The standardized --data file and its Gram matrix under the kernel flags."""
+def _gram(args):
+    """Gram matrix of the standardized --data file under the kernel flags; .data is the file."""
     data = model_io.read_csv(_dataset_file(args, args.data))
-    return data, gram(_kernel_spec(args, data.n_features), data)
+    return gram(_kernel_spec(args, data.n_features), data)
 
 
 def _config_echo(args) -> dict:
@@ -148,7 +152,7 @@ def _config_echo(args) -> dict:
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) -> None:
     # csv_rows may be a generator: it is consumed only for --format csv.
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv":
         lines = ["# " + json.dumps(_config_echo(args))]
         if csv_header:
             lines.append(",".join(csv_header))
@@ -169,9 +173,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) 
 
 
 def _cmd_fit(args) -> None:
-    data, K = _data_and_gram(args)
-    opts = l1.FitOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
-    model = l1.fit(K, args.components, opts, train=data)
+    opts = l1.FitOptions(starts=args.starts, seed=args.seed)
+    model = l1.fit(_gram(args), args.components, opts)
     model_io.write_model(model, args.model)
     _emit(args, {"model": args.model,
                  "objectives": [c.objective for c in model.components],
@@ -179,9 +182,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_fit_l2(args) -> None:
-    data, K = _data_and_gram(args)
-    model = l2.l2_fit(K, args.components)
-    model.train_ref = data
+    model = l2.l2_fit(_gram(args), args.components)
     model_io.write_model(model, args.model)
     _emit(args, {"model": args.model, "eigenvalues": model.eigenvalues.tolist()})
 
@@ -199,13 +200,14 @@ def _cmd_transform(args) -> None:
 
 
 def _cmd_detect(args) -> None:
-    data, K = _data_and_gram(args)
+    K = _gram(args)
+    data = K.data
     p = args.components if args.components is not None else min(data.n_samples, data.n_features, 50)
     if args.method == "l1":
-        model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed), train=data)
+        model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed))
     else:
         model = l2.l2_fit(K, p)
-    detector = detect.build_detector(model, data)
+    detector = detect.build_detector(model)
     scores = detect.outlier_scores(detector)
     payload = {"alpha": detector.alpha, "retained": detector.retained,
                "variances": detector.variances.tolist(), "scores": scores.tolist()}
@@ -264,7 +266,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    data, K = _data_and_gram(args)
+    K = _gram(args)
     best = enumerate_sign_vectors(K)
     model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData
-from .kernel import Dataset
 
 # Score variances this far below the largest are never retained, whatever
 # alpha says; they would divide by numerical zeros.
@@ -120,16 +119,14 @@ def pr_auc(scores, labels) -> PRCurve:
     return PRCurve(points=points, auc=auc)
 
 
-def build_detector(model, data: Dataset) -> DetectionModel:
-    """Detection model from an L1 or L2 kernel PCA model fit on this data.
+def build_detector(model) -> DetectionModel:
+    """Detection model of the training samples of an L1 or L2 kernel PCA model.
 
     Training scores come straight from the fitted model; per-component
     variances use the population convention (divisor n), which makes the
     L2 path's variances equal eigenvalue/n on mean-zero score columns.
     """
     Y = model.training_scores()
-    if Y.shape[0] != data.n_samples:
-        raise InvalidData(f"model was fit on {Y.shape[0]} samples, data has {data.n_samples}")
     variances = Y.var(axis=0)
     alpha = select_alpha(variances)
     retained = _retained_indices(variances, alpha)

@@ -40,7 +40,7 @@ class DegenerateComponent(L1KpcaError):
 
 
 class NonConvergence(L1KpcaError):
-    """The fixed-point iteration hit max_iter; the partial report is attached."""
+    """The fixed-point iteration hit l1.MAX_ITER passes; the partial report is attached."""
 
     exit_code = 4
 

@@ -100,10 +100,11 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric n x n matrix of pairwise kernel evaluations."""
+    """Symmetric n x n kernel matrix; data is the Dataset gram() built it from, else None."""
 
     entries: np.ndarray
     spec: KernelSpec = field(default_factory=KernelSpec)
+    data: Dataset | None = None
 
     def __post_init__(self):
         self.entries.flags.writeable = False
@@ -264,7 +265,7 @@ def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
             entries = _pairwise(spec, values, values)
     _mirror_upper(entries)
     require_finite(spec, entries)
-    return GramMatrix(entries=entries, spec=spec)
+    return GramMatrix(entries=entries, spec=spec, data=data)
 
 
 def cross_gram(spec: KernelSpec, train: Dataset, query: Dataset) -> np.ndarray:

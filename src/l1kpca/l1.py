@@ -24,7 +24,7 @@ There is one stopping rule: the sign vector is fixed. Every kernel spec
 the package accepts gives a positive semidefinite K, on which each flipped
 entry raises c'Kc by at least 4|(Kc)_i|, more than four zero bands, so
 the iteration cannot cycle and reaches a fixed point in finitely many
-passes; max_iter only caps the pass count.
+passes; the constant MAX_ITER caps the pass count only as a fault guard.
 """
 
 from __future__ import annotations
@@ -36,23 +36,21 @@ import numpy as np
 from .errors import DegenerateComponent, InvalidData, NonConvergence
 from .kernel import Dataset, GramMatrix, KernelSpec, _tile_rows, cross_gram
 
-DEFAULT_MAX_ITER = 1000
+# Pass cap of every solve, a fault guard; reaching it raises NonConvergence.
+MAX_ITER = 1000
 DEFAULT_STARTS = 8
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the fixed-point solve."""
+    """Multi-start knobs of fit: the start count and the seed of the random starts."""
 
     starts: int = DEFAULT_STARTS
     seed: int = 0
-    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidData(f"start count {self.starts} must be at least 1")
-        if self.max_iter < 1:
-            raise InvalidData(f"iteration limit {self.max_iter} must be at least 1")
 
 
 def _zero_band(K: np.ndarray) -> float:
@@ -78,10 +76,10 @@ class ConvergenceReport:
     norm_trace[k] is the iterate norm sqrt(c'Kc) / sum|Kc| computed from
     the k-th sign vector; rate_estimates[k] is the contraction ratio
     rho(c^k) = c'Kc / sum|Kc|. terminated_by is sign_fixed (the sign
-    vector is a fixed point) or max_iter (it is not). zero_band_hits counts
-    entries of Kc that fell inside the sign-retention band over the whole
-    run. Model files from earlier versions may also hold
-    quadratic_form_zero, a retired stopping rule; they still load.
+    vector is a fixed point) or max_iter (none after MAX_ITER passes).
+    zero_band_hits counts entries of Kc that fell inside the sign-retention
+    band over the whole run. Model files from earlier versions may also
+    hold quadratic_form_zero, a retired stopping rule; they still load.
     """
 
     iterations: int
@@ -167,8 +165,8 @@ def sign_update(gram_matrix: GramMatrix, c) -> np.ndarray:
     return np.where(np.abs(v) <= tol_zero, c, np.sign(v))
 
 
-def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
-                   max_iter: int) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
+def _iterate_batch(K: np.ndarray, C0: np.ndarray,
+                   tol_zero: float) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
     All columns share one K @ C product on the first pass; afterwards a
@@ -179,7 +177,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
     not depend on batching or scheduling. A column stops only when a pass
     flips no sign (terminated_by="sign_fixed"). Returns one (sign vector,
     recorded objective c'Kc, report) record per column; a column without
-    a fixed point after max_iter passes has terminated_by="max_iter" and
+    a fixed point after MAX_ITER passes has terminated_by="max_iter" and
     objective NaN.
     """
     n, m = C0.shape
@@ -193,7 +191,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
     band_hits = np.zeros(m, dtype=int)
     incr_cutoff = max(1, n // 8)
 
-    for k in range(max_iter):
+    for k in range(MAX_ITER):
         still, recompute = [], []
         for col in active:
             c = C[:, col]
@@ -227,7 +225,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
 
     records = []
     for col in range(m):
-        iterations, objective = out[col] or (max_iter, np.nan)
+        iterations, objective = out[col] or (MAX_ITER, np.nan)
         # The multiplier 1 / (2 * norm) exists only at a fixed point of nonzero norm.
         norm = traces[col][-1] if out[col] else 0.0
         report = ConvergenceReport(
@@ -240,7 +238,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray, tol_zero: float,
     return records
 
 
-def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, max_iter: int) -> ComponentModel:
+def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float) -> ComponentModel:
     """One component from the starts in C0's columns: iterate, reduce, finalize.
 
     Starts whose recorded objective clears the zero band compete on it
@@ -248,7 +246,7 @@ def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, max_iter: int) -> Com
     recomputed. With no such start, start 0 is finalized, which raises
     its NonConvergence or DegenerateComponent.
     """
-    records = _iterate_batch(K, C0, tol_zero, max_iter)
+    records = _iterate_batch(K, C0, tol_zero)
     usable = [idx for idx, (_, objective, _) in enumerate(records) if objective > tol_zero]
     c, _, report = records[max(usable, key=lambda idx: records[idx][1], default=0)]
     if report.terminated_by == "max_iter":
@@ -257,20 +255,19 @@ def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float, max_iter: int) -> Com
     return ComponentModel(sign_vector=c, objective=s, report=report, train_scores=v / np.sqrt(s))
 
 
-def fit_component(gram_matrix: GramMatrix, c0, options: FitOptions | None = None) -> ComponentModel:
+def fit_component(gram_matrix: GramMatrix, c0) -> ComponentModel:
     """Iterate the sign-update map from c0 until the sign vector is fixed.
 
     Terminates only when the updated vector equals the previous one
     elementwise, which on the positive semidefinite kernels the package
     accepts happens in finitely many passes. Raises NonConvergence (with
-    the partial report attached) if max_iter passes without a fixed point,
+    the partial report attached) if MAX_ITER passes find no fixed point,
     and DegenerateComponent if the terminal objective c'Kc is numerically
     zero.
     """
-    opts = options or FitOptions()
     K = gram_matrix.entries
     c0 = validate_sign_vector(c0, K.shape[0])
-    return _solve(K, c0[:, None], _zero_band(K), opts.max_iter)
+    return _solve(K, c0[:, None], _zero_band(K))
 
 
 def default_start(K: np.ndarray, tol_zero: float) -> np.ndarray:
@@ -317,8 +314,7 @@ def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
     return v / np.sqrt(s)
 
 
-def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
-        train: Dataset | None = None) -> KpcaModel:
+def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> KpcaModel:
     """Extract p components by multi-start solves on the successively deflated kernel.
 
     For each component the solver runs from the deterministic row-sum
@@ -327,7 +323,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
     objective (ties: lowest start index), then deflates the kernel.
     Components are ordered by extraction order. Errors carry the index of
     the component that failed; a component past the kernel's rank raises
-    DegenerateComponent.
+    DegenerateComponent. The model's training data is gram_matrix.data.
     """
     opts = options or FitOptions()
     K = gram_matrix.entries
@@ -349,7 +345,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
                               random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
 
         try:
-            best = _solve(K, C0, tol_zero, opts.max_iter)
+            best = _solve(K, C0, tol_zero)
         except (DegenerateComponent, NonConvergence) as exc:
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise
@@ -360,7 +356,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None,
         if j + 1 < p:
             current = deflate(current, best.sign_vector)
 
-    return KpcaModel(components=components, spec=gram_matrix.spec, train_ref=train)
+    return KpcaModel(components=components, spec=gram_matrix.spec, train_ref=gram_matrix.data)
 
 
 def _chain_map(components: list[ComponentModel]) -> np.ndarray:

@@ -24,7 +24,7 @@ class EigenModel:
     eigenvalues are descending and nonnegative; coefficient_vectors is the
     n x p matrix of unit-norm eigenvectors, each column's sign fixed by
     making its largest-magnitude entry positive. spec is the kernel the
-    Gram came from; train_ref is the optional training data that
+    Gram came from; train_ref is its data field, the training data that
     out-of-sample scoring needs. Shares training_scores() / projection(p) /
     scores(cross) with l1.KpcaModel.
     """
@@ -101,7 +101,7 @@ def l2_fit(gram_matrix: GramMatrix, p: int) -> EigenModel:
     eigvals, eigvecs = _solve(np.linalg.eigh, gram_matrix.entries, p)
     order, mu = _eigenvalue_rule(eigvals, p)
     return EigenModel(eigenvalues=mu, coefficient_vectors=_fix_signs(eigvecs[:, order]),
-                      spec=gram_matrix.spec)
+                      spec=gram_matrix.spec, train_ref=gram_matrix.data)
 
 
 def top_eigenvalues(K: np.ndarray, p: int) -> np.ndarray:

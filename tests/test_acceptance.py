@@ -149,7 +149,7 @@ def test_criterion_06_deflation_soundness():
         family = "linear" if t % 2 == 0 else "gaussian"
         spec = KernelSpec(family, sigma=float(d))
         K = gram(spec, data)
-        model = fit(K, 4, FitOptions(starts=8, seed=t), train=data)
+        model = fit(K, 4, FitOptions(starts=8, seed=t))
         chain = deflation_chain(K, model)
         scale = np.abs(K.entries).max()
         for j, comp in enumerate(model.components):
@@ -240,16 +240,16 @@ def test_criterion_10_detection_pipeline():
     cfg = SynthConfig(n=100, d=6, rank=2, r_percent=8, noise_scale=60.0, seed=21)
     noisy, _, mask = synth_generate(cfg)
     K = gram(KernelSpec("linear"), noisy)
-    model = fit(K, 6, FitOptions(starts=8, seed=21), train=noisy)
-    det = build_detector(model, noisy)
+    model = fit(K, 6, FitOptions(starts=8, seed=21))
+    det = build_detector(model)
     assert pr_auc(outlier_scores(det), mask).auc == 1.0
 
     # seeded end-to-end run reproduces the committed golden value
     cfg = SynthConfig(n=120, d=8, rank=3, r_percent=10, noise_scale=5.0, seed=11)
     noisy, _, mask = synth_generate(cfg)
     K = gram(KernelSpec("linear"), noisy)
-    model = fit(K, 8, FitOptions(starts=8, seed=11), train=noisy)
-    det = build_detector(model, noisy)
+    model = fit(K, 8, FitOptions(starts=8, seed=11))
+    det = build_detector(model)
     auc = pr_auc(outlier_scores(det), mask).auc
     assert abs(auc - GOLDEN_DETECTION_AUC) <= 1e-12
     print(f"\nACCEPTANCE 10 PASS: separable case AUC = 1.0 exactly; "

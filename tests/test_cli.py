@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from l1kpca import l1
+from l1kpca import (DatasetFile, FitOptions, KernelSpec, fit, gram, l1, l2_fit, read_csv,
+                    write_model)
 from l1kpca.cli import main
 
 
@@ -413,16 +414,65 @@ def test_fit_rejects_start_count_below_one_with_data_error(tmp_path, capsys, sta
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("max_iter", ["0", "-3"])
-def test_fit_rejects_iteration_limit_below_one_with_data_error(tmp_path, capsys, max_iter):
+@pytest.mark.parametrize("max_iter", ["5", "0", "-3"])
+def test_fit_has_no_max_iter_flag(tmp_path, capsys, max_iter):
+    # The pass cap is the constant l1.MAX_ITER, so any value is a usage error.
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "m.json"
-    code, out, err = run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4",
-                             "--max-iter", max_iter, "--model", str(model_path))
-    assert code == 3
-    assert out == ""
-    assert err == f"l1kpca: iteration limit {max_iter} must be at least 1\n"
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--data", str(noisy), "--label-column", "4",
+              "--max-iter", max_iter, "--model", str(model_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
     assert not model_path.exists()
+
+
+NON_TABLE_COMMANDS = {
+    "fit": ["--data", "noisy.csv", "--label-column", "4", "--model", "m.json"],
+    "fit-l2": ["--data", "noisy.csv", "--label-column", "4", "--model", "m.json"],
+    "synth": ["--out-noisy", "noisy2.csv", "--out-normal", "normal2.csv"],
+    "oracle": ["--data", "noisy.csv", "--label-column", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_TABLE_COMMANDS))
+def test_csv_format_is_a_usage_error_where_output_is_no_table(tmp_path, capsys, monkeypatch,
+                                                              command):
+    make_synth_files(tmp_path, capsys, n=12)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as info:
+        main([command, *NON_TABLE_COMMANDS[command], "--format", "csv"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+    assert sorted(tmp_path.iterdir()) == before  # no model or data file written
+
+
+# The spec each --kernel flag gives without other kernel flags on d = 4 features.
+CLI_KERNEL_SPECS = {"linear": KernelSpec("linear"), "gaussian": KernelSpec("gaussian", sigma=4.0),
+                    "poly": KernelSpec("polynomial", degree=2, offset=1.0)}
+
+
+@pytest.mark.parametrize("kernel", sorted(CLI_KERNEL_SPECS))
+def test_library_model_file_equals_cli_model_file(tmp_path, capsys, kernel):
+    spec = CLI_KERNEL_SPECS[kernel]
+    noisy, _ = make_synth_files(tmp_path, capsys)
+    data_file = DatasetFile(path=str(noisy), label_column=4)
+    library = {"fit": lambda K: fit(K, 2, FitOptions(starts=8, seed=3)),
+               "fit-l2": lambda K: l2_fit(K, 2)}
+    for command, fit_model in library.items():
+        cli_path, lib_path = tmp_path / f"cli-{command}.json", tmp_path / f"lib-{command}.json"
+        code, _, _ = run_cli(capsys, command, "--data", str(noisy), "--label-column", "4",
+                             "--kernel", kernel, "--components", "2", "--seed", "3",
+                             "--model", str(cli_path))
+        assert code == 0
+        write_model(fit_model(gram(spec, read_csv(data_file))), str(lib_path))
+        assert lib_path.read_bytes() == cli_path.read_bytes()
+        code, _, _ = run_cli(capsys, "transform", "--model", str(lib_path), "--data", str(noisy),
+                             "--label-column", "4")
+        assert code == 0
 
 
 def test_robustness_has_no_threads_flag(capsys):

@@ -142,8 +142,8 @@ def test_pr_auc_requires_positives():
 
 def test_detector_variances_match_score_columns():
     data, K = make_instance(900, n=15, d=4)
-    model = fit(K, 3, FitOptions(starts=8, seed=0), train=data)
-    det = build_detector(model, data)
+    model = fit(K, 3, FitOptions(starts=8, seed=0))
+    det = build_detector(model)
     npt.assert_allclose(det.variances, model.training_scores().var(axis=0), atol=0)
     assert det.retained  # nonempty by construction
     assert det.variances[det.retained].sum() >= 0.8 * det.variances.sum() - 1e-12
@@ -152,7 +152,7 @@ def test_detector_variances_match_score_columns():
 def test_detector_l2_linear_variances_equal_eigenvalue_over_n():
     data, K = make_instance(901, n=12, d=5)
     model = l2_fit(K, 5)
-    det = build_detector(model, data)
+    det = build_detector(model)
     npt.assert_allclose(det.variances, model.eigenvalues / 12.0, atol=1e-8)
 
 
@@ -163,7 +163,7 @@ def test_detector_end_to_end_is_deterministic():
     aucs = []
     for _ in range(2):
         K = gram(KernelSpec("linear"), noisy)
-        model = fit(K, 4, FitOptions(starts=8, seed=17), train=noisy)
-        det = build_detector(model, noisy)
+        model = fit(K, 4, FitOptions(starts=8, seed=17))
+        det = build_detector(model)
         aucs.append(pr_auc(outlier_scores(det), mask).auc)
     assert aucs[0] == aucs[1]

@@ -77,7 +77,7 @@ def test_tev_is_zero_for_orthogonal_loading():
     train = raw_dataset([[1.0, 0.0], [-1.0, 0.0]])
     normal = raw_dataset([[0.0, 1.0], [0.0, 2.0]])
     spec = KernelSpec("linear")
-    model = fit(gram(spec, train), 1, FitOptions(starts=4, seed=0), train=train)
+    model = fit(gram(spec, train), 1, FitOptions(starts=4, seed=0))
     cross = cross_gram(spec, train, normal)
     tev = total_explained_variation(gram(spec, normal), model, cross, 1)
     assert tev == 0.0

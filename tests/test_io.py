@@ -152,7 +152,7 @@ def test_csv_round_trip_preserves_values(tmp_path):
 
 def test_model_round_trip_reproduces_transform_exactly(tmp_path):
     data, K = make_instance(1, n=10, d=4, family="gaussian", sigma=2.0)
-    model = fit(K, 2, FitOptions(starts=8, seed=1), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=1))
     path = tmp_path / "model.json"
     write_model(model, str(path))
     loaded = read_model(str(path))
@@ -173,7 +173,6 @@ def test_model_round_trip_reproduces_transform_exactly(tmp_path):
 def test_l2_model_round_trip(tmp_path):
     data, K = make_instance(3, n=8, d=3)
     model = l2_fit(K, 3)
-    model.train_ref = data
     path = tmp_path / "l2.json"
     write_model(model, str(path))
     loaded = read_model(str(path))
@@ -185,7 +184,7 @@ def test_l2_model_round_trip(tmp_path):
 
 def test_write_model_refuses_detection_model(tmp_path):
     data, K = make_instance(4, n=12, d=4)
-    det = build_detector(fit(K, 3, FitOptions(starts=8, seed=4), train=data), data)
+    det = build_detector(fit(K, 3, FitOptions(starts=8, seed=4)))
     path = tmp_path / "det.json"
     with pytest.raises(InvalidData, match="unsupported model type DetectionModel"):
         write_model(det, str(path))
@@ -196,7 +195,7 @@ def test_model_file_from_before_the_single_stopping_rule_still_loads(tmp_path):
     # Earlier versions could end a solve on a quadratic-form rule and wrote
     # terminated_by "quadratic_form_zero" into the report.
     data, K = make_instance(5, n=10, d=4, family="gaussian", sigma=2.0)
-    model = fit(K, 2, FitOptions(starts=8, seed=5), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=5))
     path = tmp_path / "old.json"
     write_model(model, str(path))
     payload = json.loads(path.read_text())
@@ -211,7 +210,7 @@ def _rewritten_l1_model(tmp_path, path, value):
     """An L1 model file whose entry at path (a key or index per level) holds value."""
     data, K = make_instance(8, n=10, d=4, family="gaussian", sigma=2.0)
     model_path = tmp_path / "model.json"
-    write_model(fit(K, 2, FitOptions(starts=8, seed=8), train=data), str(model_path))
+    write_model(fit(K, 2, FitOptions(starts=8, seed=8)), str(model_path))
     payload = json.loads(model_path.read_text())
     target = payload
     for key in path[:-1]:
@@ -247,7 +246,6 @@ def test_model_label_past_the_integer_range_is_a_schema_error(tmp_path):
 def test_l2_model_past_the_kernel_rank_loads_and_refuses_scoring(tmp_path):
     data, K = make_instance(9, n=12, d=3)  # standardized linear: rank 3
     model = l2_fit(K, 5)
-    model.train_ref = data
     path = tmp_path / "l2.json"
     write_model(model, str(path))
     loaded = read_model(str(path))
@@ -265,7 +263,7 @@ def test_l2_model_past_the_kernel_rank_loads_and_refuses_scoring(tmp_path):
 def test_model_spec_missing_a_field_raises_schema_error(tmp_path, field):
     data, K = make_instance(6, n=10, d=4, family="gaussian", sigma=2.0)
     path = tmp_path / "model.json"
-    write_model(fit(K, 1, FitOptions(starts=8, seed=6), train=data), str(path))
+    write_model(fit(K, 1, FitOptions(starts=8, seed=6)), str(path))
     payload = json.loads(path.read_text())
     del payload["spec"][field]
     path.write_text(json.dumps(payload))
@@ -282,7 +280,7 @@ def test_version_mismatch_raises_schema_error(tmp_path):
 
 def test_truncated_file_raises_parse_error(tmp_path):
     data, K = make_instance(5, n=6, d=2)
-    model = fit(K, 1, FitOptions(starts=8, seed=5), train=data)
+    model = fit(K, 1, FitOptions(starts=8, seed=5))
     path = tmp_path / "trunc.json"
     write_model(model, str(path))
     text = path.read_text()
@@ -300,7 +298,7 @@ def test_unknown_kind_raises_schema_error(tmp_path):
 
 def test_model_file_is_compact(tmp_path):
     data, K = make_instance(6, n=8, d=3)
-    model = fit(K, 2, FitOptions(starts=8, seed=6), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=6))
     path = tmp_path / "small.json"
     write_model(model, str(path))
     assert path.stat().st_size < 64 * 1024

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
-                    gram, l2_fit, sign_update, train_scores, transform)
+                    gram, l2_fit, sign_update, standardize, train_scores, transform)
 from l1kpca import kernel, l1
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
                        random_starts, validate_sign_vector)
@@ -108,13 +109,14 @@ def test_fit_component_degenerate_all_ones_on_standardized_linear_gram():
         fit_component(K, np.ones(12))
 
 
-def test_fit_component_nonconvergence_carries_report():
+def test_fit_component_nonconvergence_carries_report(monkeypatch):
     data, K = make_instance(7, n=40, d=6)
     c0 = (np.random.default_rng(1).integers(0, 2, 40) * 2 - 1).astype(float)
     full = fit_component(K, c0)
     assert full.report.iterations > 1
+    monkeypatch.setattr(l1, "MAX_ITER", 1)
     with pytest.raises(NonConvergence) as info:
-        fit_component(K, c0, FitOptions(max_iter=1))
+        fit_component(K, c0)
     assert info.value.report.terminated_by == "max_iter"
     assert info.value.report.iterations == 1
     assert len(info.value.report.norm_trace) == 1
@@ -207,7 +209,7 @@ def test_fit_identity_gram_full_rank_hadamard_pattern():
 
 def test_fit_two_components_on_seeded_linear_gram():
     data, K = make_instance(500, n=8, d=5)
-    model = fit(K, 2, FitOptions(starts=8, seed=3), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=3))
     chain = deflation_chain(K, model)
     assert len(chain) == 3
     tol = 1e-12 * 8 * np.abs(K.entries).max()
@@ -230,7 +232,7 @@ def dense_reference_fit(K, p, opts):
         candidates = []
         for c0 in starts.T:
             try:
-                candidates.append(fit_component(K, c0, opts))
+                candidates.append(fit_component(K, c0))
             except (DegenerateComponent, NonConvergence):
                 pass
         best = max(candidates, key=lambda comp: comp.objective)  # ties: first start
@@ -332,12 +334,6 @@ def test_fit_options_reject_start_count_below_one(starts):
         FitOptions(starts=starts)
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
-def test_fit_options_reject_iteration_limit_below_one(max_iter):
-    with pytest.raises(InvalidData, match=rf"^iteration limit {max_iter} must be at least 1$"):
-        FitOptions(max_iter=max_iter)
-
-
 def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
     # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
     _, K = make_instance(42, n=12, d=3)
@@ -346,14 +342,15 @@ def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component
         fit(K, 2, FitOptions(starts=1))
 
 
-def test_fit_nonconvergence_carries_component_index_and_report():
+def test_fit_nonconvergence_carries_component_index_and_report(monkeypatch):
     # An odd polynomial kernel: the row-sum start is not a fixed point.
     data, _ = make_instance(7, n=40, d=6)
     K = gram(KernelSpec("polynomial", degree=3, offset=0.0), data)
+    monkeypatch.setattr(l1, "MAX_ITER", 1)
     for starts in (1, 8):
         with pytest.raises(NonConvergence,
                            match=r"^component 0: no fixed point after 1 iterations$") as info:
-            fit(K, 2, FitOptions(starts=starts, max_iter=1))
+            fit(K, 2, FitOptions(starts=starts))
         report = info.value.report
         assert report.terminated_by == "max_iter" and report.iterations == 1
         assert len(report.norm_trace) == 1 and np.isnan(report.lagrange_multiplier)
@@ -400,14 +397,14 @@ def test_fit_past_the_kernel_rank_raises_degenerate_component(seed):
 def test_transform_on_training_data_reproduces_train_scores():
     for family in ("linear", "gaussian"):
         data, K = make_instance(600, n=12, d=4, family=family, sigma=2.0)
-        model = fit(K, 3, FitOptions(starts=8, seed=2), train=data)
+        model = fit(K, 3, FitOptions(starts=8, seed=2))
         T = transform(model, data)
         npt.assert_allclose(T, model.training_scores(), atol=1e-9)
 
 
 def test_transform_single_query_row_matches_train_score():
     data, K = make_instance(601, n=9, d=3)
-    model = fit(K, 1, FitOptions(starts=8, seed=0), train=data)
+    model = fit(K, 1, FitOptions(starts=8, seed=0))
     query = raw_dataset(data.values[4:5].copy())
     T = transform(model, query)
     npt.assert_allclose(T[0, 0], model.components[0].train_scores[4], atol=1e-12)
@@ -417,7 +414,7 @@ def test_transform_chain_matches_explicit_feature_space_projection():
     # linear kernel: loadings are explicit input-space vectors, so scores
     # can be recomputed by deflating the feature matrices directly
     data, K = make_instance(602, n=10, d=4)
-    model = fit(K, 2, FitOptions(starts=8, seed=4), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=4))
     rng = np.random.default_rng(603)
     query = raw_dataset(rng.standard_normal((3, 4)))
 
@@ -435,21 +432,42 @@ def test_transform_chain_matches_explicit_feature_space_projection():
 
 def test_transform_rejects_feature_mismatch():
     data, K = make_instance(604, n=6, d=3)
-    model = fit(K, 1, FitOptions(starts=8, seed=0), train=data)
+    model = fit(K, 1, FitOptions(starts=8, seed=0))
     with pytest.raises(InvalidData):
         transform(model, raw_dataset(np.ones((2, 5))))
 
 
 def test_transform_rejects_model_whose_training_rows_disagree_with_its_components():
     data, K = make_instance(612, n=8, d=3)
-    model = fit(K, 2, FitOptions(starts=8, seed=0), train=raw_dataset(np.ones((9, 3))))
+    model = replace(fit(K, 2, FitOptions(starts=8, seed=0)),
+                    train_ref=raw_dataset(np.ones((9, 3))))
     with pytest.raises(InvalidData, match="expected matrix with 8 columns"):
         transform(model, data)
 
 
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+def test_models_take_their_training_data_from_the_gram(family):
+    data = standardize(np.random.default_rng(613).standard_normal((10, 3)))
+    K = gram(KernelSpec(family, sigma=3.0), data)
+    assert K.data is data
+    assert fit(K, 2, FitOptions(starts=8, seed=0)).train_ref is data
+    assert l2_fit(K, 2).train_ref is data
+
+
+def test_models_of_deflated_or_hand_built_grams_cannot_score():
+    data, K = make_instance(614, n=10, d=3, family="gaussian")
+    deflated = deflate(K, fit(K, 1, FitOptions(starts=8, seed=0)).components[0].sign_vector)
+    assert deflated.data is None
+    for G in (deflated, GramMatrix(entries=K.entries, spec=K.spec)):
+        for model in (fit(G, 1, FitOptions(starts=8, seed=0)), l2_fit(G, 1)):
+            assert model.train_ref is None
+            with pytest.raises(InvalidData, match="^model carries no training data"):
+                transform(model, data)
+
+
 def test_chain_scores_matches_transform():
     data, K = make_instance(605, n=8, d=3)
-    model = fit(K, 2, FitOptions(starts=8, seed=0), train=data)
+    model = fit(K, 2, FitOptions(starts=8, seed=0))
     G = cross_gram(model.spec, data, data)
     npt.assert_allclose(chain_scores(model.components, G), transform(model, data), atol=0)
 
@@ -473,7 +491,7 @@ def test_chain_scores_match_sequential_cross_gram_deflation(family, n, d, m, p, 
     data, K = make_instance(seed, n=n, d=d, family=family)
     p = min(p, n, d) if family == "linear" else min(p, n)
     try:
-        model = fit(K, p, FitOptions(starts=4, seed=seed), train=data)
+        model = fit(K, p, FitOptions(starts=4, seed=seed))
     except DegenerateComponent:
         return  # a kernel of lower rank than p has nothing to score
     query = raw_dataset(np.random.default_rng(seed).standard_normal((m, d)))
@@ -494,7 +512,7 @@ def test_projection_of_both_kinds_matches_sequential_scoring(family, n, d, m, p,
     G = cross_gram(K.spec, data, query)
     models = []
     try:
-        models.append((fit(K, p, FitOptions(starts=4, seed=seed), train=data),
+        models.append((fit(K, p, FitOptions(starts=4, seed=seed)),
                        lambda model, k: replayed_chain_scores(model.components[:k], G)))
     except DegenerateComponent:
         pass  # a kernel of lower rank than p has no L1 model of p components
@@ -537,9 +555,7 @@ def test_transform_builds_the_projection_once_per_call(monkeypatch):
 def fitted_models(n=13, d=4, p=3):
     """An L1 and an L2 model of one gaussian instance, both carrying the training data."""
     data, K = make_instance(608, n=n, d=d, family="gaussian", sigma=2.0)
-    l2_model = l2_fit(K, p)
-    l2_model.train_ref = data
-    return data, (fit(K, p, FitOptions(starts=4, seed=0), train=data), l2_model)
+    return data, (fit(K, p, FitOptions(starts=4, seed=0)), l2_fit(K, p))
 
 
 @pytest.mark.parametrize("tile_rows,m", [(1, 7), (3, 10), (4, 12), (None, 10), (1, 1), (None, 1)])
@@ -593,18 +609,17 @@ def test_both_model_kinds_reject_cross_gram_of_wrong_width():
 
 def test_l1_and_l2_models_share_transform_and_detector():
     data, K = make_instance(606, n=12, d=4, family="gaussian", sigma=2.0)
-    l1_model = fit(K, 3, FitOptions(starts=8, seed=0), train=data)
+    l1_model = fit(K, 3, FitOptions(starts=8, seed=0))
     l2_model = l2_fit(K, 3)
-    with pytest.raises(InvalidData):  # no training data attached yet
-        transform(l2_model, data)
-    l2_model.train_ref = data
+    with pytest.raises(InvalidData):  # a hand-built Gram carries no training data
+        transform(l2_fit(GramMatrix(entries=K.entries, spec=K.spec), 3), data)
     for model in (l1_model, l2_model):
         Y = model.training_scores()
         assert Y.shape == (12, 3)
         npt.assert_allclose(transform(model, data), Y, atol=1e-9)
         npt.assert_allclose(model.scores(cross_gram(model.spec, data, data), 2),
                             transform(model, data)[:, :2], rtol=0, atol=1e-12)
-        det = build_detector(model, data)
+        det = build_detector(model)
         npt.assert_array_equal(det.score_matrix, Y)
         npt.assert_array_equal(det.variances, Y.var(axis=0))
 
@@ -657,7 +672,7 @@ def test_linear_kernel_iteration_equals_input_space_iteration():
 
 def test_linear_loading_reconstructions_are_orthonormal():
     data, K = make_instance(800, n=20, d=6)
-    model = fit(K, 4, FitOptions(starts=8, seed=8), train=data)
+    model = fit(K, 4, FitOptions(starts=8, seed=8))
     A = data.values.copy()
     loadings = []
     for comp in model.components:
