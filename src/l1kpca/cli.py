@@ -168,7 +168,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) 
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with model_io._open_for_writing(args.output) as fh:
             fh.write(text)
 
 

@@ -11,9 +11,13 @@ Robustness is measured as Total Explained Variation: 100 times the
 variation of the normal dataset captured by p loading directions fit on
 the noisy dataset, divided by the maximum any p orthonormal directions
 could capture (the top-p eigenvalue sum of the normal kernel matrix).
-That denominator comes from an eigenvalue-only solve; the sweep builds the
-normal kernel matrix with cross_gram, one product like the numerator's
-cross-Gram, so its gaussian entries match gram's within rounding.
+That denominator comes from an eigenvalue-only solve.
+
+Each sweep instance evaluates every kernel matrix it needs (the noisy Gram
+it fits, the cross-Gram it scores, the normal kernel matrix of the
+denominator) as one product, so gaussian entries match gram's within
+rounding, not bit for bit. A TEV is invariant under a component's sign,
+so it cannot see the +c / -c ties those bits settle.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData
-from .kernel import (Dataset, GramMatrix, KernelSpec, cross_gram, gram, require_finite,
+from .kernel import (Dataset, GramMatrix, KernelSpec, _gram, cross_gram, gram, require_finite,
                      standardize)
 from . import l1, l2
 
@@ -137,10 +141,9 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
     for seed in seeds:
         cell_cfg = replace(cfg, r_percent=r, seed=seed)
         noisy, normal, _ = synth_generate(cell_cfg)
-        K_noisy = gram(spec, noisy)
+        K_noisy = _gram(spec, noisy)
         cross = cross_gram(spec, noisy, normal)
-        # One eigenvalue-only solve per seed, shared by both solvers, on the
-        # normal kernel matrix from the same one-product path as cross.
+        # One eigenvalue-only solve per seed, shared by both solvers.
         denominator = _capturable_variation(spec, cross_gram(spec, normal, normal), p)
 
         model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed))

@@ -16,6 +16,7 @@ number scoring uses through one typed reader, _numbers.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -128,10 +129,21 @@ def read_csv(file: DatasetFile) -> Dataset:
     return standardize(values, labels)
 
 
+@contextmanager
+def _open_for_writing(path: str):
+    """Text file at path, opened for writing; an OSError while opening or
+    writing it raises InvalidData("cannot write PATH: ...")."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidData(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: str, matrix, labels=None) -> None:
     """Write a numeric matrix (optionally with a trailing label column) as CSV."""
     matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         for i, row in enumerate(matrix):
             cells = [repr(float(x)) for x in row]
             if labels is not None:
@@ -217,7 +229,7 @@ def write_model(model, path: str) -> None:
     payload = {"version": FORMAT_VERSION, "kind": kind, "spec": model.spec.to_dict(), **body}
     if model.train_ref is not None:
         payload["train"] = _dataset_payload(model.train_ref)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         # One C-encoder call; json.dump streams through the pure-Python encoder.
         fh.write(json.dumps(payload))
 

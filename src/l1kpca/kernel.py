@@ -17,12 +17,14 @@ Datasets, kernel specs and Gram matrices are frozen after construction
 Memory: a Gram matrix of any family peaks at about n^2 floats plus one
 ~1 MB working tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about
 m*n floats plus the m + n row norms. The polynomial kernel is evaluated
-in place on the product a.b. The gaussian Gram is evaluated in row tiles
-of explicit differences, so its entries keep the dense formula's bits. The
-gaussian cross-Gram is one matrix product through the norm expansion
-||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, and matches kernel_eval within the
-rounding of that expansion. Every family's Gram is mirrored in place,
-tile by tile.
+in place on the product a.b. Every kernel matrix is one matrix product,
+the gaussian through the norm expansion ||a-b||^2 = ||a||^2 + ||b||^2 -
+2 a.b (it matches kernel_eval within the rounding of that expansion),
+with one exception: gram() evaluates the gaussian in row tiles of explicit
+differences, so its entries keep the dense formula's bits. Those bits
+settle the sign of a fitted component where starts tie, and fitted signs
+are output (model files, transform scores). Every family's Gram is
+mirrored in place, tile by tile.
 """
 
 from __future__ import annotations
@@ -186,11 +188,13 @@ def _gaussian(spec: KernelSpec, values: np.ndarray) -> np.ndarray:
     a = 0
     while a < n:
         b = min(n, a + _tile_rows((n - a) * values.shape[1]))
-        # Explicit differences, not the norm expansion that _pairwise uses:
-        # the Gram's bits drive the sign iteration, where starts converging
-        # to +c and -c tie and rounding settles which one wins. With the
-        # expansion here, one benchmark seed flipped a component's sign.
-        # Moving the Gram waits for a canonical sign per component.
+        # Explicit differences, not the norm expansion that _pairwise uses,
+        # for gram() alone: its bits drive the sign iteration, where starts
+        # converging to +c and -c tie and rounding settles which one wins,
+        # and the winner's signs are output. With the expansion here, two
+        # benchmark seeds flipped a component's sign. Sign-invariant
+        # results (the robustness sweep's TEV) use the expansion; moving
+        # gram() waits for a canonical sign per component.
         diff = values[a:b, None, :] - values[None, a:, :]
         sqdist = np.einsum("ijk,ijk->ij", diff, diff)
         out[a:b, a:] = np.exp(-sqdist / (2.0 * spec.sigma**2))
@@ -248,10 +252,22 @@ def require_finite(spec: KernelSpec, entries: np.ndarray) -> None:
 def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
     """Pairwise kernel matrix of a dataset, exactly symmetric by mirroring.
 
-    The gaussian kernel is evaluated on the upper triangle only. A kernel
-    whose values overflow or are undefined on this data (a gaussian width
-    so small that 2 sigma^2 rounds to 0, a polynomial past the float
-    range) raises InvalidData.
+    The gaussian kernel is evaluated on the upper triangle only, with
+    explicit differences. A kernel whose values overflow or are undefined
+    on this data (a gaussian width so small that 2 sigma^2 rounds to 0, a
+    polynomial past the float range) raises InvalidData.
+    """
+    return _gram(spec, data, one_product=spec.family != "gaussian")
+
+
+def _gram(spec: KernelSpec, data: Dataset, one_product: bool = True) -> GramMatrix:
+    """gram(), with every family evaluated as the one product of _pairwise.
+
+    one_product=False evaluates the gaussian's explicit-difference tiles
+    instead (gaussian specs only). With the product, gaussian entries
+    differ from gram()'s in the last bits, which can flip which of +c and
+    -c a fit returns: use it only where the result cannot see a sign.
+    The size cap is checked before anything is evaluated.
     """
     n = data.n_samples
     if n > MAX_GRAM_SIZE:
@@ -259,10 +275,8 @@ def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:
     values = data.values
     # Non-finite entries are refused below, so their float warnings are noise.
     with np.errstate(all="ignore"):
-        if spec.family == "gaussian":
-            entries = _gaussian(spec, values)
-        else:
-            entries = _pairwise(spec, values, values)
+        entries = _pairwise(spec, values, values) if one_product else _gaussian(spec, values)
+    # l1._iterate_batch gathers rows for columns, so K must be exactly symmetric.
     _mirror_upper(entries)
     require_finite(spec, entries)
     return GramMatrix(entries=entries, spec=spec, data=data)

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from l1kpca import (DatasetFile, FitOptions, KernelSpec, fit, gram, l1, l2_fit, read_csv,
-                    write_model)
+from l1kpca import (DatasetFile, FitOptions, KernelSpec, fit, gram, kernel, l1, l2_fit,
+                    read_csv, write_model)
 from l1kpca.cli import main
 
 
@@ -310,6 +310,36 @@ def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, 
     assert (code, out) == (3, "")
     assert err == f"l1kpca: the {family} kernel gives non-finite Gram entries on this data\n"
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "oracle", "synth"])
+def test_unwritable_output_path_is_a_data_error(tmp_path, capsys, command):
+    small, _ = make_synth_files(tmp_path, capsys, n=12)
+    target = tmp_path / "missing-dir" / "out"
+    argv = {
+        "fit": ("fit", "--data", str(small), "--label-column", "4", "--model", str(target)),
+        "oracle": ("oracle", "--data", str(small), "--label-column", "4", "--output", str(target)),
+        "synth": ("synth", "--n", "12", "--d", "4", "--rank", "2", "--out-noisy", str(target),
+                  "--out-normal", str(tmp_path / "normal-out.csv")),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"l1kpca: cannot write {target}: ")
+
+
+def test_robustness_refuses_n_over_the_gram_cap_before_any_product(monkeypatch, capsys):
+    def no_product(*args):
+        raise AssertionError("kernel product built past the cap")
+
+    monkeypatch.setattr(kernel, "MAX_GRAM_SIZE", 10)
+    monkeypatch.setattr(kernel, "_pairwise", no_product)
+    for family in ("linear", "gaussian", "poly"):
+        code, out, err = run_cli(capsys, "robustness", "--kernel", family, "--grid", "10",
+                                 "--seeds", "1", "--n", "24", "--d", "4", "--rank", "2",
+                                 "--p", "2")
+        assert (code, out) == (3, "")
+        assert err == "l1kpca: n=24 exceeds the dense Gram cap of 10\n"
 
 
 @pytest.mark.parametrize("flags, message", [

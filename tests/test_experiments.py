@@ -9,7 +9,7 @@ from conftest import raw_dataset
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
                     runtime_bench, standardize, synth_generate, total_explained_variation)
-from l1kpca import l2
+from l1kpca import experiments, l2
 from l1kpca.experiments import _capturable_variation, _sweep_cell
 from l1kpca.l1 import KpcaModel
 
@@ -252,6 +252,26 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
         tev2.append(total_explained_variation(K_normal, l2_fit(K_noisy, 2), cross, 2))
     assert row.tev_l1 == float(np.mean(tev1))
     assert row.tev_l2 == float(np.mean(tev2))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("gaussian", sigma=5.0),
+                                  KernelSpec("polynomial", degree=3, offset=1.0)],
+                         ids=["linear", "gaussian", "polynomial"])
+def test_sweep_cell_tevs_match_a_sweep_on_gram(monkeypatch, spec):
+    # The sweep fits each instance on the one-product Gram; the reference
+    # fits on gram(). Linear and polynomial Grams are the same product, so
+    # their TEVs are bit-equal; the gaussian moves in the last bits only.
+    cfg = SynthConfig(n=60, d=5, rank=2, noise_scale=8.0, seed=4)
+    seeds = [3, 17, 29, 101]
+    cells = [_sweep_cell(r, spec, cfg, 3, seeds, 4) for r in (10.0, 25.0)]
+    monkeypatch.setattr(experiments, "_gram", lambda spec, data: gram(spec, data))
+    references = [_sweep_cell(r, spec, cfg, 3, seeds, 4) for r in (10.0, 25.0)]
+    for cell, reference in zip(cells, references):
+        for key in ("tev_l1", "tev_l2"):
+            if spec.family == "gaussian":
+                assert getattr(cell, key) == pytest.approx(getattr(reference, key), rel=1e-12, abs=0)
+            else:
+                assert getattr(cell, key) == getattr(reference, key)
 
 
 @pytest.mark.parametrize("n_seeds", [0, -2])

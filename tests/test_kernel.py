@@ -142,6 +142,35 @@ def test_gram_exactly_symmetric(family, sigma):
     assert np.abs(K.entries - K.entries.T).max() == 0.0
 
 
+@pytest.mark.parametrize("family,sigma", [("linear", 1.0), ("gaussian", 1.3), ("polynomial", 1.0)])
+def test_one_product_gram_is_exactly_symmetric_and_equals_gram_off_the_gaussian(family, sigma):
+    rng = np.random.default_rng(7)
+    data = standardize(rng.standard_normal((40, 6)))
+    spec = KernelSpec(family, sigma=sigma)
+    K = kernel._gram(spec, data)
+    assert np.abs(K.entries - K.entries.T).max() == 0.0
+    assert K.data is data and K.spec == spec
+    if family == "gaussian":
+        # The norm expansion: within rounding of the explicit differences.
+        npt.assert_allclose(K.entries, gram(spec, data).entries, rtol=1e-13, atol=0)
+    else:
+        assert np.array_equal(K.entries, gram(spec, data).entries)
+
+
+@pytest.mark.parametrize("build", [gram, kernel._gram], ids=["gram", "one-product"])
+def test_gram_refuses_n_over_the_cap_before_evaluating(monkeypatch, build):
+    def no_evaluation(*args):
+        raise AssertionError("kernel evaluated past the cap")
+
+    monkeypatch.setattr(kernel, "MAX_GRAM_SIZE", 5)
+    monkeypatch.setattr(kernel, "_pairwise", no_evaluation)
+    monkeypatch.setattr(kernel, "_gaussian", no_evaluation)
+    data = standardize(np.random.default_rng(3).standard_normal((6, 2)))
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=2.0)):
+        with pytest.raises(InvalidData, match=r"^n=6 exceeds the dense Gram cap of 5$"):
+            build(spec, data)
+
+
 def test_gram_positive_semidefinite_within_tolerance():
     for seed, family in [(8, "linear"), (9, "gaussian"), (10, "polynomial")]:
         rng = np.random.default_rng(seed)
