@@ -14,7 +14,7 @@ from .errors import (DegenerateComponent, InstanceTooLarge, InvalidData, L1KpcaE
 from .kernel import (Dataset, GramMatrix, KernelSpec, cross_gram, gram, kernel_eval,
                      standardize, standardize_with)
 from .l1 import (ComponentModel, ConvergenceReport, FitOptions, KpcaModel, deflate, fit,
-                 fit_component, sign_update, train_scores, transform)
+                 fit_component, transform)
 from .l2 import EigenModel, l2_fit, l2_scores
 from .oracle import OracleResult, enumerate_sign_vectors, maxcut_objective
 from .detect import (DetectionModel, PRCurve, build_detector, classify, outlier_scores,
@@ -29,8 +29,8 @@ __all__ = [
     "NonConvergence", "NumericalFailure", "InstanceTooLarge",
     "Dataset", "KernelSpec", "GramMatrix", "standardize", "standardize_with",
     "kernel_eval", "gram", "cross_gram",
-    "FitOptions", "ConvergenceReport", "ComponentModel", "KpcaModel", "sign_update",
-    "fit_component", "fit", "deflate", "train_scores", "transform",
+    "FitOptions", "ConvergenceReport", "ComponentModel", "KpcaModel",
+    "fit_component", "fit", "deflate", "transform",
     "EigenModel", "l2_fit", "l2_scores",
     "OracleResult", "enumerate_sign_vectors", "maxcut_objective",
     "DetectionModel", "PRCurve", "select_alpha", "outlier_scores", "classify",

@@ -16,7 +16,7 @@ import sys
 from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
 from .errors import InvalidData, L1KpcaError
-from .kernel import KernelSpec, gram, standardize_with
+from .kernel import KernelSpec, gram
 from .oracle import enumerate_sign_vectors
 
 # The commands whose output is a table of rows: only they offer --format csv.
@@ -75,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p)
     p.add_argument("--method", choices=["l1", "l2"], default="l1")
     p.add_argument("--components", type=int, default=None,
-                   help="component cap before the 80%% retention rule (default min(n, d, 50))")
+                   help="component cap before the 80%% retention rule (default "
+                        "max(1, min(n - 1, d, 50)); data of lower rank, such as a file "
+                        "with a constant column, exits 4)")
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
     p.add_argument("--threshold", type=float, default=None,
                    help="also emit 0/1 flags at this score threshold")
@@ -189,11 +191,8 @@ def _cmd_fit_l2(args) -> None:
 
 def _cmd_transform(args) -> None:
     model = model_io.read_model(args.model)
-    train = model.train_ref
-    if train is None:
-        raise InvalidData("model file lacks training data; it cannot score new samples")
     raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
-    scores = l1.transform(model, standardize_with(raw, train.column_means, train.column_stds))
+    scores = l1.transform(model, raw)
     _emit(args, {"scores": scores.tolist()},
           csv_rows=([repr(float(v)) for v in row] for row in scores),
           csv_header=[f"score_{j}" for j in range(scores.shape[1])])
@@ -202,7 +201,9 @@ def _cmd_transform(args) -> None:
 def _cmd_detect(args) -> None:
     K = _gram(args)
     data = K.data
-    p = args.components if args.components is not None else min(data.n_samples, data.n_features, 50)
+    # Standardized data has rank at most n - 1 under the linear kernel.
+    p = (args.components if args.components is not None
+         else max(1, min(data.n_samples - 1, data.n_features, 50)))
     if args.method == "l1":
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed))
     else:

@@ -94,6 +94,10 @@ class KernelSpec:
             # A negative offset can make K indefinite, where the sign iteration may cycle.
             if not self.offset >= 0:
                 raise InvalidData(f"polynomial offset must be non-negative, got {self.offset}")
+        # Model files store every field, whatever the family, and read back finite numbers only.
+        for name, value in (("sigma", self.sigma), ("offset", self.offset)):
+            if not np.isfinite(value):
+                raise InvalidData(f"kernel {name} must be a finite number, got {value}")
 
     def to_dict(self) -> dict:
         return {"family": self.family, "sigma": self.sigma,
@@ -146,7 +150,7 @@ def standardize(raw, labels=None) -> Dataset:
                    labels=labels)
 
 
-def standardize_with(raw, means, stds, labels=None) -> Dataset:
+def standardize_with(raw, means, stds) -> Dataset:
     """Map raw samples into a training set's standardized coordinates."""
     mat = _check_matrix(raw)
     means = np.asarray(means, dtype=float)
@@ -154,7 +158,7 @@ def standardize_with(raw, means, stds, labels=None) -> Dataset:
     if mat.shape[1] != means.shape[0]:
         raise InvalidData(f"feature count {mat.shape[1]} does not match recorded statistics ({means.shape[0]})")
     return Dataset(values=(mat - means) / stds, column_means=means.copy(),
-                   column_stds=stds.copy(), labels=labels)
+                   column_stds=stds.copy())
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NonConvergence
-from .kernel import Dataset, GramMatrix, KernelSpec, _tile_rows, cross_gram
+from .kernel import Dataset, GramMatrix, KernelSpec, _tile_rows, cross_gram, standardize_with
 
 # Pass cap of every solve, a fault guard; reaching it raises NonConvergence.
 MAX_ITER = 1000
@@ -149,20 +149,6 @@ def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
     if not np.all(np.abs(c) == 1.0):
         raise InvalidData("sign vector entries must be exactly -1 or +1")
     return c
-
-
-def sign_update(gram_matrix: GramMatrix, c) -> np.ndarray:
-    """One step of the fixed-point map: c_i <- sgn((Kc)_i).
-
-    Entries inside the zero band (|(Kc)_i| <= 1e-12 * n * max|K|) keep
-    their previous sign, which prevents oscillation on exactly-orthogonal
-    configurations.
-    """
-    K = gram_matrix.entries
-    c = validate_sign_vector(c, K.shape[0])
-    tol_zero = _zero_band(K)
-    v = K @ c
-    return np.where(np.abs(v) <= tol_zero, c, np.sign(v))
 
 
 def _iterate_batch(K: np.ndarray, C0: np.ndarray,
@@ -306,14 +292,6 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     return GramMatrix(entries=entries, spec=gram_matrix.spec)
 
 
-def train_scores(gram_matrix: GramMatrix, c) -> np.ndarray:
-    """Principal scores of the training samples: Kc / sqrt(c'Kc)."""
-    K = gram_matrix.entries
-    c = validate_sign_vector(c, K.shape[0])
-    v, s = _quadratic_form(K, c, _zero_band(K), "objective {:.3e} is numerically zero")
-    return v / np.sqrt(s)
-
-
 def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> KpcaModel:
     """Extract p components by multi-start solves on the successively deflated kernel.
 
@@ -390,22 +368,25 @@ def chain_scores(components: list[ComponentModel], cross: np.ndarray) -> np.ndar
     return _project(cross, _chain_map(components))
 
 
-def transform(model, query: Dataset) -> np.ndarray:
-    """m x p score matrix of query samples under an L1 or L2 model.
+def transform(model, raw) -> np.ndarray:
+    """m x p score matrix of raw query rows under an L1 or L2 model.
 
-    The query must be standardized with the model's training statistics.
-    The model's projection W is built once; query rows are then scored one
-    row tile (about 1 MB of cross-Gram entries) at a time, each with the
-    one product tile @ W, so memory holds one tile plus W and the m x p
-    result.
+    raw holds samples as read, in the training data's columns. They are
+    mapped into the training coordinates once, with the column means and
+    stds of model.train_ref; a model without training data raises
+    InvalidData. The model's projection W is built once; query rows are
+    then scored one row tile (about 1 MB of cross-Gram entries) at a time,
+    each with the one product tile @ W, so memory holds the standardized
+    query, one tile plus W and the m x p result.
     """
     train = model.train_ref
     if train is None:
         raise InvalidData("model carries no training data; cannot score new samples")
+    query = standardize_with(raw, train.column_means, train.column_stds)
     W = model.projection()
     m, step = query.n_samples, _tile_rows(train.n_samples)
     out = np.empty((m, W.shape[1]))
     for a in range(0, m, step):
-        tile = replace(query, values=query.values[a:a + step], labels=None)
+        tile = replace(query, values=query.values[a:a + step])
         out[a:a + step] = _project(cross_gram(model.spec, train, tile), W)
     return out

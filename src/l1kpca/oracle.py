@@ -31,15 +31,10 @@ MAX_ENUMERATION_SIZE = 20
 
 @dataclass
 class OracleResult:
-    """Best sign vector and objective over the full enumeration.
-
-    objective_histogram optionally holds all 2^(n-1) objective values in
-    code order (see enumerate_sign_vectors).
-    """
+    """Best sign vector and objective over the full enumeration."""
 
     best_sign: np.ndarray
     best_objective: float
-    objective_histogram: list[float] | None = None
 
 
 def _sign_rows(width: int) -> np.ndarray:
@@ -58,7 +53,7 @@ def _quadratic_table(rows: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows @ K, rows)
 
 
-def enumerate_sign_vectors(gram_matrix: GramMatrix, keep_histogram: bool = False) -> OracleResult:
+def enumerate_sign_vectors(gram_matrix: GramMatrix) -> OracleResult:
     """Maximize c'Kc over sign vectors by exhaustive search on the block split.
 
     Code t in [0, 2^(n-1)) stands for the vector with c_0 = +1 and
@@ -93,14 +88,11 @@ def enumerate_sign_vectors(gram_matrix: GramMatrix, keep_histogram: bool = False
     step = min(H.shape[0], _tile_rows(L.shape[0]))
     tile = np.empty((step, L.shape[0]))
     best_code, best_obj = 0, -np.inf
-    hist = [] if keep_histogram else None
     for first in range(0, H.shape[0], step):
         stop = min(H.shape[0], first + step)
         obj = np.matmul(H[first:stop], M, out=tile[:stop - first])
         obj += hq[first:stop, None]
         obj += lq
-        if keep_histogram:
-            hist.extend(obj.ravel().tolist())
         # argmax keeps the first maximum in code order; strict > across tiles.
         i = int(np.argmax(obj))
         if obj.flat[i] > best_obj:
@@ -112,8 +104,7 @@ def enumerate_sign_vectors(gram_matrix: GramMatrix, keep_histogram: bool = False
     # those are the bits fit reports for the same vector, so oracle and
     # solver objectives compare exactly.
     best_obj = float(best_c @ (K @ best_c))
-    return OracleResult(best_sign=best_c, best_objective=best_obj,
-                        objective_histogram=hist)
+    return OracleResult(best_sign=best_c, best_objective=best_obj)
 
 
 def maxcut_objective(gram_matrix: GramMatrix, c) -> float:

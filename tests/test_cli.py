@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from l1kpca import (DatasetFile, FitOptions, KernelSpec, fit, gram, kernel, l1, l2_fit,
-                    read_csv, write_model)
+from l1kpca import (DatasetFile, FitOptions, GramMatrix, KernelSpec, fit, gram, kernel, l1,
+                    l2_fit, read_csv, write_model)
 from l1kpca.cli import main
 
 
@@ -88,6 +88,20 @@ def test_detect_reproduces_committed_golden_auc(tmp_path, capsys):
     assert json.loads(out)["auc"] == 0.928030303030303
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_detect_default_component_count_fits_more_features_than_samples(tmp_path, capsys,
+                                                                       seed):
+    # Standardized data has rank at most n - 1 under the linear kernel, so
+    # the default keeps n - 1 = 29 components of the 30 x 40 file.
+    noisy, _ = make_synth_files(tmp_path, capsys, n=30, d=40, rank=5, seed=seed)
+    code, out, err = run_cli(capsys, "detect", "--data", str(noisy), "--label-column", "40",
+                             "--seed", str(seed))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["variances"]) == 29
+    assert len(payload["scores"]) == 30
+
+
 def test_robustness_subcommand_emits_rows(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "robustness", "--grid", "10,20", "--seeds", "2",
                            "--n", "30", "--d", "4", "--rank", "2", "--p", "2",
@@ -159,11 +173,13 @@ def test_transform_standardizes_raw_query_once_with_training_statistics(tmp_path
                                "--data", str(query_path))
         assert code == 0
 
-        from l1kpca import read_model, standardize_with, transform
+        from l1kpca import cross_gram, read_model, standardize_with, transform
         model = read_model(str(model_path))
         train = model.train_ref
         raw = np.loadtxt(query_path, delimiter=",")
-        expected = transform(model, standardize_with(raw, train.column_means, train.column_stds))
+        query = standardize_with(raw, train.column_means, train.column_stds)
+        expected = model.scores(cross_gram(model.spec, train, query))
+        npt.assert_array_equal(transform(model, raw), expected)
         npt.assert_array_equal(np.array(json.loads(out)["scores"]), expected)
 
 
@@ -291,13 +307,24 @@ def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
     assert not model_path.exists()
 
 
+NON_FINITE_GRAM = "the {} kernel gives non-finite Gram entries on this data"
+
+
 @pytest.mark.parametrize("command", ["fit", "fit-l2", "detect", "robustness"])
-@pytest.mark.parametrize("flags, family", [
-    (("--kernel", "gaussian", "--sigma", "1e-200"), "gaussian"),
-    (("--kernel", "poly", "--offset", "inf"), "polynomial"),
-    (("--kernel", "poly", "--offset", "1e300", "--degree", "3"), "polynomial"),
-], ids=["gaussian-width-underflows", "poly-offset-inf", "poly-overflows"])
-def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, flags, family):
+@pytest.mark.parametrize("flags, message", [
+    (("--kernel", "gaussian", "--sigma", "1e-200"), NON_FINITE_GRAM.format("gaussian")),
+    # An infinite offset is refused with the spec, before any Gram is built.
+    (("--kernel", "poly", "--offset", "inf"), "kernel offset must be a finite number, got inf"),
+    (("--kernel", "poly", "--offset", "1e300", "--degree", "3"),
+     NON_FINITE_GRAM.format("polynomial")),
+    # Model files store sigma and offset whatever the family, and a model
+    # file holding NaN or Infinity cannot be read back.
+    (("--kernel", "linear", "--sigma", "nan"), "kernel sigma must be a finite number, got nan"),
+    (("--kernel", "linear", "--offset", "inf"), "kernel offset must be a finite number, got inf"),
+    (("--kernel", "poly", "--sigma", "inf"), "kernel sigma must be a finite number, got inf"),
+], ids=["gaussian-width-underflows", "poly-offset-inf", "poly-overflows", "linear-sigma-nan",
+        "linear-offset-inf", "poly-sigma-inf"])
+def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, flags, message):
     noisy, _ = make_synth_files(tmp_path, capsys)
     model_path = tmp_path / "model.json"
     if command == "robustness":  # generates its own data
@@ -308,7 +335,7 @@ def test_kernel_with_non_finite_gram_is_a_data_error(tmp_path, capsys, command, 
     model_flags = () if command in ("detect", "robustness") else ("--model", str(model_path))
     code, out, err = run_cli(capsys, command, *data_flags, *flags, *model_flags)
     assert (code, out) == (3, "")
-    assert err == f"l1kpca: the {family} kernel gives non-finite Gram entries on this data\n"
+    assert err == f"l1kpca: {message}\n"
     assert not model_path.exists()
 
 
@@ -354,6 +381,20 @@ def test_robustness_rejects_bad_grid_or_seed_count_with_data_error(capsys, flags
         assert code == 3
         assert out == ""
         assert err == f"l1kpca: {message}\n"
+
+
+def test_transform_refuses_a_model_without_training_data_with_the_library_message(tmp_path,
+                                                                                  capsys):
+    noisy, normal = make_synth_files(tmp_path, capsys)
+    K = gram(KernelSpec("linear"), read_csv(DatasetFile(path=str(noisy), label_column=4)))
+    hand_built = GramMatrix(entries=K.entries, spec=K.spec)  # carries no dataset
+    for model in (fit(hand_built, 2, FitOptions(starts=8, seed=0)), l2_fit(hand_built, 2)):
+        model_path = tmp_path / "no-train.json"
+        write_model(model, str(model_path))
+        code, out, err = run_cli(capsys, "transform", "--model", str(model_path),
+                                 "--data", str(normal))
+        assert (code, out) == (3, "")
+        assert err == "l1kpca: model carries no training data; cannot score new samples\n"
 
 
 def test_fit_l2_and_transform(tmp_path, capsys):

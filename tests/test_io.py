@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import deflation_chain, make_instance
+from conftest import deflation_chain, instance_rows, make_instance
 from l1kpca import (DatasetFile, DegenerateComponent, FitOptions, InvalidData, ParseError,
                     SchemaError, build_detector, fit, gram, l2_fit, read_csv, read_model,
                     transform, write_csv, write_model)
@@ -157,7 +157,7 @@ def test_model_round_trip_reproduces_transform_exactly(tmp_path):
     write_model(model, str(path))
     loaded = read_model(str(path))
 
-    query, _ = make_instance(2, n=5, d=4)
+    query = instance_rows(2, 5, 4)
     npt.assert_array_equal(transform(loaded, query), transform(model, query))
     for a, b in zip(loaded.components, model.components):
         npt.assert_array_equal(a.sign_vector, b.sign_vector)
@@ -203,7 +203,8 @@ def test_model_file_from_before_the_single_stopping_rule_still_loads(tmp_path):
     path.write_text(json.dumps(payload))
     loaded = read_model(str(path))
     assert loaded.components[1].report.terminated_by == "quadratic_form_zero"
-    npt.assert_array_equal(transform(loaded, data), transform(model, data))
+    raw = instance_rows(5, 10, 4)
+    npt.assert_array_equal(transform(loaded, raw), transform(model, raw))
 
 
 def _rewritten_l1_model(tmp_path, path, value):
@@ -251,7 +252,7 @@ def test_l2_model_past_the_kernel_rank_loads_and_refuses_scoring(tmp_path):
     loaded = read_model(str(path))
     npt.assert_array_equal(loaded.eigenvalues[3:], 0.0)
     with pytest.raises(DegenerateComponent):
-        transform(loaded, data)
+        transform(loaded, instance_rows(9, 12, 3))
     payload = json.loads(path.read_text())
     payload["eigenvalues"][4] = -1e-300
     path.write_text(json.dumps(payload))

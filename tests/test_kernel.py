@@ -113,6 +113,15 @@ def test_polynomial_spec_refuses_an_offset_below_zero(offset):
         KernelSpec("polynomial", offset=offset)
 
 
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+@pytest.mark.parametrize("field, value", [("sigma", np.inf), ("sigma", np.nan),
+                                          ("offset", np.inf), ("offset", -np.inf)])
+def test_spec_refuses_a_non_finite_sigma_or_offset_for_every_family(family, field, value):
+    # Model files store both fields whatever the family, and read back finite numbers only.
+    with pytest.raises(InvalidData):
+        KernelSpec(family, **{field: value})
+
+
 def test_gram_linear_identity_rows():
     K = gram(KernelSpec("linear"), raw_dataset(np.eye(2)))
     npt.assert_allclose(K.entries, np.eye(2))

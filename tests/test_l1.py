@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import deflation_chain, make_instance, raw_dataset, raw_gram
+from conftest import (deflation_chain, instance_rows, make_instance, raw_dataset, raw_gram,
+                      sign_update, train_scores)
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
-                    gram, l2_fit, sign_update, standardize, train_scores, transform)
+                    gram, l2_fit, standardize, standardize_with, transform)
 from l1kpca import kernel, l1
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
                        random_starts, validate_sign_vector)
@@ -398,15 +399,14 @@ def test_transform_on_training_data_reproduces_train_scores():
     for family in ("linear", "gaussian"):
         data, K = make_instance(600, n=12, d=4, family=family, sigma=2.0)
         model = fit(K, 3, FitOptions(starts=8, seed=2))
-        T = transform(model, data)
+        T = transform(model, instance_rows(600, 12, 4))
         npt.assert_allclose(T, model.training_scores(), atol=1e-9)
 
 
 def test_transform_single_query_row_matches_train_score():
     data, K = make_instance(601, n=9, d=3)
     model = fit(K, 1, FitOptions(starts=8, seed=0))
-    query = raw_dataset(data.values[4:5].copy())
-    T = transform(model, query)
+    T = transform(model, instance_rows(601, 9, 3)[4:5])
     npt.assert_allclose(T[0, 0], model.components[0].train_scores[4], atol=1e-12)
 
 
@@ -415,11 +415,10 @@ def test_transform_chain_matches_explicit_feature_space_projection():
     # can be recomputed by deflating the feature matrices directly
     data, K = make_instance(602, n=10, d=4)
     model = fit(K, 2, FitOptions(starts=8, seed=4))
-    rng = np.random.default_rng(603)
-    query = raw_dataset(rng.standard_normal((3, 4)))
+    query = np.random.default_rng(603).standard_normal((3, 4))
 
     A = data.values.copy()
-    Q = query.values.copy()
+    Q = (query - data.column_means) / data.column_stds
     explicit = np.empty((3, 2))
     for j, comp in enumerate(model.components):
         u = A.T @ comp.sign_vector / np.sqrt(comp.objective)
@@ -430,11 +429,24 @@ def test_transform_chain_matches_explicit_feature_space_projection():
     npt.assert_allclose(transform(model, query), explicit, atol=1e-9)
 
 
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+def test_transform_standardizes_raw_rows_once_with_the_training_statistics(family):
+    # Raw rows off the training scale: transform maps them with the model's
+    # recorded means and stds, then scores them in one tile, for both kinds.
+    data = standardize(instance_rows(615, 11, 3) * [1.0, 40.0, 0.01] + [5.0, -300.0, 0.2])
+    K = gram(KernelSpec(family, sigma=3.0), data)
+    raw = instance_rows(616, 6, 3) * [2.0, 30.0, 0.02] + [4.0, -290.0, 0.1]
+    query = standardize_with(raw, data.column_means, data.column_stds)
+    for model in (fit(K, 2, FitOptions(starts=8, seed=0)), l2_fit(K, 2)):
+        npt.assert_array_equal(transform(model, raw),
+                               model.scores(cross_gram(model.spec, data, query)))
+
+
 def test_transform_rejects_feature_mismatch():
     data, K = make_instance(604, n=6, d=3)
     model = fit(K, 1, FitOptions(starts=8, seed=0))
     with pytest.raises(InvalidData):
-        transform(model, raw_dataset(np.ones((2, 5))))
+        transform(model, np.ones((2, 5)))
 
 
 def test_transform_rejects_model_whose_training_rows_disagree_with_its_components():
@@ -442,7 +454,7 @@ def test_transform_rejects_model_whose_training_rows_disagree_with_its_component
     model = replace(fit(K, 2, FitOptions(starts=8, seed=0)),
                     train_ref=raw_dataset(np.ones((9, 3))))
     with pytest.raises(InvalidData, match="expected matrix with 8 columns"):
-        transform(model, data)
+        transform(model, data.values)
 
 
 @pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
@@ -462,14 +474,15 @@ def test_models_of_deflated_or_hand_built_grams_cannot_score():
         for model in (fit(G, 1, FitOptions(starts=8, seed=0)), l2_fit(G, 1)):
             assert model.train_ref is None
             with pytest.raises(InvalidData, match="^model carries no training data"):
-                transform(model, data)
+                transform(model, data.values)
 
 
 def test_chain_scores_matches_transform():
     data, K = make_instance(605, n=8, d=3)
     model = fit(K, 2, FitOptions(starts=8, seed=0))
     G = cross_gram(model.spec, data, data)
-    npt.assert_allclose(chain_scores(model.components, G), transform(model, data), atol=0)
+    npt.assert_allclose(chain_scores(model.components, G),
+                        transform(model, instance_rows(605, 8, 3)), atol=0)
 
 
 def replayed_chain_scores(components, cross):
@@ -539,7 +552,7 @@ def test_projection_of_both_kinds_matches_sequential_scoring(family, n, d, m, p,
 def test_transform_builds_the_projection_once_per_call(monkeypatch):
     data, models = fitted_models()
     monkeypatch.setattr(kernel, "_TILE_BYTES", 8 * data.n_samples)  # one-row tiles
-    query = raw_dataset(np.random.default_rng(611).standard_normal((7, data.n_features)))
+    query = np.random.default_rng(611).standard_normal((7, data.n_features))
     for model in models:
         calls = []
 
@@ -564,21 +577,22 @@ def test_transform_query_tiles_equal_one_cross_gram(monkeypatch, tile_rows, m):
     data, models = fitted_models()
     if tile_rows is not None:
         monkeypatch.setattr(kernel, "_TILE_BYTES", 8 * data.n_samples * tile_rows)
-    query = raw_dataset(np.random.default_rng(609).standard_normal((m, data.n_features)))
+    raw = np.random.default_rng(609).standard_normal((m, data.n_features))
+    query = standardize_with(raw, data.column_means, data.column_stds)
     for model in models:
         expected = model.scores(cross_gram(model.spec, data, query))
         # A tile's G @ C may take another BLAS blocking than the whole product.
-        npt.assert_allclose(transform(model, query), expected,
+        npt.assert_allclose(transform(model, raw), expected,
                             rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_transform_peak_memory_is_one_query_tile_plus_scores():
-    # The m x n cross-Gram alone would be 72 MB.
+    # The m x n cross-Gram alone would be 72 MB; the standardized query is 1.2 MB.
     n = m = 3000
     d, p = 50, 10
     rng = np.random.default_rng(610)
     train = raw_dataset(rng.standard_normal((n, d)))
-    query = raw_dataset(rng.standard_normal((m, d)))
+    query = rng.standard_normal((m, d))
     report = ConvergenceReport(iterations=1, norm_trace=[], terminated_by="sign_fixed",
                                rate_estimates=[], lagrange_multiplier=1.0)
     components = [ComponentModel(sign_vector=np.sign(rng.standard_normal(n)) + 0.0,
@@ -609,16 +623,17 @@ def test_both_model_kinds_reject_cross_gram_of_wrong_width():
 
 def test_l1_and_l2_models_share_transform_and_detector():
     data, K = make_instance(606, n=12, d=4, family="gaussian", sigma=2.0)
+    raw = instance_rows(606, 12, 4)
     l1_model = fit(K, 3, FitOptions(starts=8, seed=0))
     l2_model = l2_fit(K, 3)
     with pytest.raises(InvalidData):  # a hand-built Gram carries no training data
-        transform(l2_fit(GramMatrix(entries=K.entries, spec=K.spec), 3), data)
+        transform(l2_fit(GramMatrix(entries=K.entries, spec=K.spec), 3), raw)
     for model in (l1_model, l2_model):
         Y = model.training_scores()
         assert Y.shape == (12, 3)
-        npt.assert_allclose(transform(model, data), Y, atol=1e-9)
+        npt.assert_allclose(transform(model, raw), Y, atol=1e-9)
         npt.assert_allclose(model.scores(cross_gram(model.spec, data, data), 2),
-                            transform(model, data)[:, :2], rtol=0, atol=1e-12)
+                            transform(model, raw)[:, :2], rtol=0, atol=1e-12)
         det = build_detector(model)
         npt.assert_array_equal(det.score_matrix, Y)
         npt.assert_array_equal(det.variances, Y.var(axis=0))

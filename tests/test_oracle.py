@@ -25,18 +25,19 @@ def test_two_point_instance(two_point_gram):
 
 def test_matches_second_independent_enumeration():
     data, K = make_instance(30, n=10, d=3)
-    res = enumerate_sign_vectors(K, keep_histogram=True)
-    # dumb loop over all 512 vectors with c_0 = +1
-    best = -np.inf
+    res = enumerate_sign_vectors(K)
+    # dumb loop over all 512 vectors with c_0 = +1, in code order
+    best, best_c = -np.inf, None
     count = 0
-    for bits in itertools.product([-1.0, 1.0], repeat=9):
+    for bits in itertools.product([1.0, -1.0], repeat=9):
         c = np.array((1.0,) + bits)
-        best = max(best, float(c @ K.entries @ c))
+        obj = float(c @ K.entries @ c)
+        if obj > best:
+            best, best_c = obj, c
         count += 1
     assert count == 512
     npt.assert_allclose(res.best_objective, best, rtol=1e-9)
-    assert len(res.objective_histogram) == 512
-    npt.assert_allclose(max(res.objective_histogram), best, rtol=1e-9)
+    npt.assert_array_equal(res.best_sign, best_c)
 
 
 def test_best_sign_satisfies_fixed_point_condition():
@@ -117,6 +118,52 @@ def _gray_code_reference(K):
     return best_c, float(best_c @ (K @ best_c))
 
 
+def _code_order_vectors(n):
+    """Every sign vector of length n with c_0 = +1, row t for code t (+1 before -1)."""
+    tails = np.array(list(itertools.product((1.0, -1.0), repeat=n - 1))).reshape(1 << (n - 1), n - 1)
+    return np.hstack((np.ones((len(tails), 1)), tails))
+
+
+def _code_order_objectives(K):
+    """Brute force: the code-order vectors of K's size, and each one's c'Kc."""
+    C = _code_order_vectors(K.shape[0])
+    return C, np.einsum("ij,ij->i", C @ K, C).tolist()
+
+
+def _assert_lowest_code_argmax(K, res):
+    """The oracle returns the maximizer with the lowest code, and its objective.
+
+    Integer entries keep every objective exact, so ties are real ties.
+    """
+    C, objectives = _code_order_objectives(K)
+    first = objectives.index(max(objectives))
+    npt.assert_array_equal(res.best_sign, C[first])
+    assert res.best_objective == objectives[first]
+
+
+def _assert_planted_tie_goes_to_the_lower_code(n, codes):
+    """With K = a a' + b b' for the vectors a, b of two codes, exactly a and b maximize.
+
+    Split the entries where a and b agree (A) from those where they differ
+    (D): x'Kx = 2 (x_A . a_A)^2 + 2 (x_D . a_D)^2, which only +-a and +-b
+    attain in full. The entries are integers, so the two objectives tie
+    exactly, and the lower code must win wherever the two codes fall among
+    the tiles.
+    """
+    C = _code_order_vectors(n)
+    low, high = sorted(codes)
+    K = np.outer(C[low], C[low]) + np.outer(C[high], C[high])
+    res = enumerate_sign_vectors(raw_gram(K))
+    npt.assert_array_equal(res.best_sign, C[low])
+    assert res.best_objective == float(C[high] @ K @ C[high])
+    _assert_lowest_code_argmax(K, res)
+
+
+def _two_codes(data, n):
+    return data.draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=2, max_size=2,
+                              unique=True))
+
+
 def test_blockwise_oracle_equals_gray_code_walk_bit_for_bit():
     rng = np.random.default_rng(54)
     families = ("linear", "gaussian", "polynomial")
@@ -140,15 +187,10 @@ def test_ties_go_to_the_first_maximizer_in_plus_first_order(monkeypatch, n, tile
     entries = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
     A = np.array(entries, dtype=float).reshape(n, n)
     K = np.triu(A) + np.triu(A, 1).T
-    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
-
-    # +1 before -1 in each position: the order of the codes.
-    vectors = [np.array((1.0,) + tail) for tail in itertools.product((1.0, -1.0), repeat=n - 1)]
-    objectives = [float(c @ K @ c) for c in vectors]
-    first = objectives.index(max(objectives))
-    npt.assert_array_equal(res.best_sign, vectors[first])
-    assert res.best_objective == objectives[first]
-    assert res.objective_histogram == objectives
+    res = enumerate_sign_vectors(raw_gram(K))
+    _assert_lowest_code_argmax(K, res)
+    if n >= 2:
+        _assert_planted_tie_goes_to_the_lower_code(n, _two_codes(data, n))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40,
@@ -163,30 +205,28 @@ def test_block_split_equals_materialized_objectives_in_code_order(monkeypatch, n
     entries = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
     A = np.array(entries, dtype=float).reshape(n, n)
     K = np.triu(A) + np.triu(A, 1).T
-    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
-
-    tails = np.array(list(itertools.product((1.0, -1.0), repeat=n - 1)))
-    C = np.hstack((np.ones((len(tails), 1)), tails))
-    objectives = np.einsum("ij,ij->i", C @ K, C).tolist()
-    first = objectives.index(max(objectives))
-    npt.assert_array_equal(res.best_sign, C[first])
-    assert res.best_objective == objectives[first]
-    assert res.objective_histogram == objectives
+    res = enumerate_sign_vectors(raw_gram(K))
+    _assert_lowest_code_argmax(K, res)
+    _assert_planted_tie_goes_to_the_lower_code(n, _two_codes(data, n))
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 1 << 20])
-@pytest.mark.parametrize("K, best_sign, histogram", [
+@pytest.mark.parametrize("K, best_sign, objectives", [
     ([[3.0]], [1.0], [3.0]),
     ([[1.0, -2.0], [-2.0, 3.0]], [1.0, -1.0], [0.0, 8.0]),
 ], ids=["n1", "n2"])
-def test_instances_with_an_empty_low_half(monkeypatch, tile_bytes, K, best_sign, histogram):
+def test_instances_with_an_empty_low_half(monkeypatch, tile_bytes, K, best_sign, objectives):
     # n = 1 and 2 leave no trailing entries, so every code is a leading
     # pattern; tile_bytes = 1 puts each code in its own tile.
     monkeypatch.setattr(kernel, "_TILE_BYTES", tile_bytes)
-    res = enumerate_sign_vectors(raw_gram(K), keep_histogram=True)
+    K = np.array(K)
+    assert _code_order_objectives(K)[1] == objectives
+    res = enumerate_sign_vectors(raw_gram(K))
     npt.assert_array_equal(res.best_sign, best_sign)
-    assert res.best_objective == max(histogram)
-    assert res.objective_histogram == histogram
+    assert res.best_objective == max(objectives)
+    _assert_lowest_code_argmax(K, res)
+    if K.shape[0] == 2:
+        _assert_planted_tie_goes_to_the_lower_code(2, [1, 0])
 
 
 def test_enumeration_memory_is_one_block_at_n_20():
