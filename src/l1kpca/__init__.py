@@ -17,11 +17,10 @@ from .l1 import (ComponentModel, ConvergenceReport, FitOptions, KpcaModel, defla
                  fit_component, transform)
 from .l2 import EigenModel, l2_fit, l2_scores
 from .oracle import OracleResult, enumerate_sign_vectors, maxcut_objective
-from .detect import (DetectionModel, PRCurve, build_detector, classify, outlier_scores,
-                     pr_auc, select_alpha)
+from .detect import DetectionModel, PRCurve, build_detector, classify, pr_auc, select_alpha
 from .experiments import (RobustnessResult, SynthConfig, robustness_sweep, runtime_bench,
                           synth_generate, total_explained_variation)
-from .io import DatasetFile, read_csv, read_model, write_csv, write_model
+from .io import read_csv, read_model, write_csv, write_model
 
 __all__ = [
     "__version__",
@@ -33,9 +32,9 @@ __all__ = [
     "fit_component", "fit", "deflate", "transform",
     "EigenModel", "l2_fit", "l2_scores",
     "OracleResult", "enumerate_sign_vectors", "maxcut_objective",
-    "DetectionModel", "PRCurve", "select_alpha", "outlier_scores", "classify",
-    "pr_auc", "build_detector",
+    "DetectionModel", "PRCurve", "select_alpha", "classify", "pr_auc",
+    "build_detector",
     "SynthConfig", "RobustnessResult", "synth_generate", "total_explained_variation",
     "robustness_sweep", "runtime_bench",
-    "DatasetFile", "read_csv", "write_csv", "write_model", "read_model",
+    "read_csv", "write_csv", "write_model", "read_model",
 ]

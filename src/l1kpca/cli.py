@@ -120,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dataset_file(args, path: str) -> model_io.DatasetFile:
+def _label_column(args) -> str | int | None:
+    """--label-column as read_csv takes it: digits are a 0-based index, else a header name."""
     label = args.label_column
-    if label is not None and label.lstrip("-").isdigit():
-        label = int(label)
-    return model_io.DatasetFile(path=path, has_header=args.header, label_column=label)
+    return int(label) if label is not None and label.lstrip("-").isdigit() else label
 
 
 def _spec(kernel: str, sigma: float | None, n_features: int,
@@ -143,7 +142,7 @@ def _kernel_spec(args, n_features: int) -> KernelSpec:
 
 def _gram(args):
     """Gram matrix of the standardized --data file under the kernel flags; .data is the file."""
-    data = model_io.read_csv(_dataset_file(args, args.data))
+    data = model_io.read_csv(args.data, args.header, _label_column(args))
     return gram(_kernel_spec(args, data.n_features), data)
 
 
@@ -153,7 +152,7 @@ def _config_echo(args) -> dict:
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) -> None:
-    # csv_rows may be a generator: it is consumed only for --format csv.
+    # csv_rows and jsonl_rows may be generators: each is consumed only for its own format.
     if args.format == "csv":
         lines = ["# " + json.dumps(_config_echo(args))]
         if csv_header:
@@ -161,7 +160,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) 
         lines.extend(",".join(str(x) for x in row) for row in csv_rows)
         text = "\n".join(lines) + "\n"
     elif args.format == "jsonl":
-        # config echo first, then one line per result row (or per payload)
+        # config echo first, then one line per table row (the payload, for non-table commands)
         lines = [json.dumps(_config_echo(args))]
         lines.extend(json.dumps(row) for row in (jsonl_rows if jsonl_rows is not None else [payload]))
         text = "\n".join(lines) + "\n"
@@ -191,11 +190,12 @@ def _cmd_fit_l2(args) -> None:
 
 def _cmd_transform(args) -> None:
     model = model_io.read_model(args.model)
-    raw, _ = model_io.read_csv_raw(_dataset_file(args, args.data))
+    raw, _ = model_io.read_csv_raw(args.data, args.header, _label_column(args))
     scores = l1.transform(model, raw)
+    header = [f"score_{j}" for j in range(scores.shape[1])]
     _emit(args, {"scores": scores.tolist()},
-          csv_rows=([repr(float(v)) for v in row] for row in scores),
-          csv_header=[f"score_{j}" for j in range(scores.shape[1])])
+          csv_rows=([repr(float(v)) for v in row] for row in scores), csv_header=header,
+          jsonl_rows=(dict(zip(header, row)) for row in scores.tolist()))
 
 
 def _cmd_detect(args) -> None:
@@ -209,7 +209,7 @@ def _cmd_detect(args) -> None:
     else:
         model = l2.l2_fit(K, p)
     detector = detect.build_detector(model)
-    scores = detect.outlier_scores(detector)
+    scores = detector.scores
     payload = {"alpha": detector.alpha, "retained": detector.retained,
                "variances": detector.variances.tolist(), "scores": scores.tolist()}
     if args.threshold is not None:
@@ -220,7 +220,8 @@ def _cmd_detect(args) -> None:
         payload["auc"] = curve.auc
     _emit(args, payload,
           csv_rows=([i, repr(float(s))] for i, s in enumerate(scores)),
-          csv_header=["sample", "score"])
+          csv_header=["sample", "score"],
+          jsonl_rows=({"sample": i, "score": s} for i, s in enumerate(scores.tolist())))
 
 
 def _cmd_synth(args) -> None:
@@ -252,12 +253,13 @@ def _cmd_robustness(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    datasets = {path: model_io.read_csv(_dataset_file(args, path)) for path in args.data}
+    datasets = {path: model_io.read_csv(path, args.header, _label_column(args))
+                for path in args.data}
     rows = []
     for path, data in datasets.items():
         # sigma defaults to each dataset's own feature count
         specs = [_spec(fam.strip(), args.sigma, data.n_features) for fam in args.kernels.split(",")]
-        rows += experiments.runtime_bench({path: data}, specs, p=args.components,
+        rows += experiments.runtime_bench(path, data, specs, p=args.components,
                                           starts=args.starts, seed=args.seed)
     _emit(args, {"results": rows},
           csv_rows=[[r["dataset"], r["kernel"]["family"], r["method"], r["p"],

@@ -27,12 +27,12 @@ RELATIVE_VARIANCE_FLOOR = 1e-12
 
 @dataclass
 class DetectionModel:
-    """Training scores, per-component variances, and the retention cutoff."""
+    """Per-component variances, the retention cutoff, and each training sample's outlier score."""
 
-    score_matrix: np.ndarray
     variances: np.ndarray
     alpha: float
     retained: list[int]
+    scores: np.ndarray
 
 
 @dataclass
@@ -51,34 +51,21 @@ def select_alpha(variances) -> float:
     """Largest variance cutoff whose retained set explains >= 80% of the total.
 
     The cutoff always equals one of the variance values; retention is
-    lambda_j >= alpha.
+    lambda_j >= alpha; the smallest value, retaining all, always qualifies.
     """
     lam = np.asarray(variances, dtype=float)
-    if lam.size == 0 or np.any(lam < 0):
-        raise InvalidData("variances must be a nonempty list of nonnegative reals")
+    if lam.size == 0 or not np.all(np.isfinite(lam) & (lam >= 0)):
+        raise InvalidData("variances must be a nonempty list of finite nonnegative reals")
     total = float(lam.sum())
     if total <= 0:
         raise DegenerateComponent("all score variances are zero")
-    for alpha in sorted(set(lam.tolist()), reverse=True):
-        if float(lam[lam >= alpha].sum()) >= 0.8 * total:
-            return float(alpha)
-    return float(lam.min())  # unreachable: the full set always qualifies
+    return next(float(alpha) for alpha in sorted(set(lam.tolist()), reverse=True)
+                if float(lam[lam >= alpha].sum()) >= 0.8 * total)
 
 
 def _retained_indices(variances: np.ndarray, alpha: float) -> list[int]:
     floor = RELATIVE_VARIANCE_FLOOR * float(variances.max())
     return [int(j) for j in np.flatnonzero((variances >= alpha) & (variances > floor))]
-
-
-def outlier_scores(model: DetectionModel) -> np.ndarray:
-    """Squared scaled distance to the origin over the retained components."""
-    if not model.retained:
-        raise DegenerateComponent("no components retained")
-    lam = model.variances[model.retained]
-    if np.any(lam <= 0):
-        raise DegenerateComponent("retained component has zero variance")
-    Y = model.score_matrix[:, model.retained]
-    return (Y * Y / lam).sum(axis=1)
 
 
 def classify(scores, threshold: float) -> np.ndarray:
@@ -122,12 +109,16 @@ def pr_auc(scores, labels) -> PRCurve:
 def build_detector(model) -> DetectionModel:
     """Detection model of the training samples of an L1 or L2 kernel PCA model.
 
-    Training scores come straight from the fitted model; per-component
+    Training scores Y come straight from the fitted model; per-component
     variances use the population convention (divisor n), which makes the
     L2 path's variances equal eigenvalue/n on mean-zero score columns.
+    scores holds s_i for each sample; the largest variance is always
+    retained and no retained variance is zero.
     """
     Y = model.training_scores()
     variances = Y.var(axis=0)
     alpha = select_alpha(variances)
     retained = _retained_indices(variances, alpha)
-    return DetectionModel(score_matrix=Y, variances=variances, alpha=alpha, retained=retained)
+    Y = Y[:, retained]
+    scores = (Y * Y / variances[retained]).sum(axis=1)
+    return DetectionModel(variances=variances, alpha=alpha, retained=retained, scores=scores)

@@ -175,31 +175,29 @@ def robustness_sweep(r_values, specs, cfg: SynthConfig = SynthConfig(), p: int =
     return rows
 
 
-def runtime_bench(datasets: dict[str, Dataset], specs, p: int | None = None,
+def runtime_bench(name: str, data: Dataset, specs, p: int | None = None,
                   starts: int = l1.DEFAULT_STARTS, seed: int = 0) -> list[dict]:
-    """Wall-clock seconds of full L1 and L2 fits on each dataset x kernel.
+    """Wall-clock seconds of full L1 and L2 fits on one dataset, per kernel.
 
-    Timing includes Gram construction (it dominates growth in n). p
-    defaults to min(n, d) per dataset; seed seeds the L1 fit's random
-    starts. Runs serially to avoid contention skew.
+    Each row's dataset field is name. Timing includes Gram construction (it
+    dominates growth in n). p defaults to min(n, d); seed seeds the L1
+    fit's random starts. Runs serially to avoid contention skew.
     """
+    n_comp = p if p is not None else min(data.n_samples, data.n_features)
     rows = []
-    for name, data in datasets.items():
-        for spec in specs:
-            n_comp = p if p is not None else min(data.n_samples, data.n_features)
+    for spec in specs:
+        t0 = time.perf_counter()
+        K = gram(spec, data)
+        l1.fit(K, n_comp, l1.FitOptions(starts=starts, seed=seed))
+        t1 = time.perf_counter()
+        rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l1",
+                     "p": n_comp, "seconds": t1 - t0})
 
-            t0 = time.perf_counter()
-            K = gram(spec, data)
-            l1.fit(K, n_comp, l1.FitOptions(starts=starts, seed=seed))
-            t1 = time.perf_counter()
-            rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l1",
-                         "p": n_comp, "seconds": t1 - t0})
-
-            t0 = time.perf_counter()
-            K = gram(spec, data)
-            model = l2.l2_fit(K, n_comp)
-            model.training_scores()
-            t1 = time.perf_counter()
-            rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l2",
-                         "p": n_comp, "seconds": t1 - t0})
+        t0 = time.perf_counter()
+        K = gram(spec, data)
+        model = l2.l2_fit(K, n_comp)
+        model.training_scores()
+        t1 = time.perf_counter()
+        rows.append({"dataset": name, "kernel": spec.to_dict(), "method": "l2",
+                     "p": n_comp, "seconds": t1 - t0})
     return rows

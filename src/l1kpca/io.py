@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -32,53 +32,46 @@ _LABEL_STRINGS = {"0": 0, "1": 1, "normal": 0, "outlier": 1}
 _NUMBER_FORMS = ("a finite number", "a list of finite numbers", "a matrix of finite numbers")
 
 
-@dataclass(frozen=True)
-class DatasetFile:
-    """How to read a CSV: path, header flag, optional label column (name or index)."""
-
-    path: str
-    has_header: bool = False
-    label_column: str | int | None = None
-
-
-def read_csv_raw(file: DatasetFile) -> tuple[np.ndarray, np.ndarray | None]:
+def read_csv_raw(path: str, header: bool = False,
+                 label_column: str | int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a numeric CSV into (raw feature matrix, labels or None).
 
+    label_column is a 0-based index, or a name from the header row.
     Raises ParseError with 1-based line/column positions for ragged rows,
     non-numeric feature cells, or unknown label values.
     """
     try:
-        with open(file.path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise ParseError(f"cannot read {file.path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
     rows = [(no, line.split(",")) for no, line in enumerate(lines, start=1)
             if line.strip() != ""]
     if not rows:
-        raise ParseError(f"{file.path} is empty")
+        raise ParseError(f"{path} is empty")
 
-    header: list[str] | None = None
-    if file.has_header:
-        header = [cell.strip() for cell in rows[0][1]]
+    names: list[str] | None = None
+    if header:
+        names = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
-            raise ParseError(f"{file.path} has a header but no data rows")
+            raise ParseError(f"{path} has a header but no data rows")
 
     width = len(rows[0][1])
     label_idx: int | None = None
-    if file.label_column is not None:
-        if isinstance(file.label_column, int):
-            label_idx = file.label_column
+    if label_column is not None:
+        if isinstance(label_column, int):
+            label_idx = label_column
             if not 0 <= label_idx < width:
                 raise ParseError(f"label column index {label_idx} out of range (row width {width})")
         else:
-            if header is None:
-                raise ParseError(f"label column {file.label_column!r} needs a header row")
+            if names is None:
+                raise ParseError(f"label column {label_column!r} needs a header row")
             try:
-                label_idx = header.index(file.label_column)
+                label_idx = names.index(label_column)
             except ValueError:
-                raise ParseError(f"label column {file.label_column!r} not in header {header}") from None
+                raise ParseError(f"label column {label_column!r} not in header {names}") from None
 
     try:
         return _parse_bulk(rows, width, label_idx)
@@ -123,9 +116,9 @@ def _raise_first_error(rows: list, width: int, label_idx: int | None) -> None:
                 raise ParseError(f"non-numeric feature cell {text!r}", line=i, column=j) from None
 
 
-def read_csv(file: DatasetFile) -> Dataset:
+def read_csv(path: str, header: bool = False, label_column: str | int | None = None) -> Dataset:
     """Parse a numeric CSV (see read_csv_raw) into a standardized Dataset."""
-    values, labels = read_csv_raw(file)
+    values, labels = read_csv_raw(path, header, label_column)
     return standardize(values, labels)
 
 
@@ -201,13 +194,13 @@ def _dataset_from(payload: dict) -> Dataset:
 
 
 def _spec_from(payload: dict) -> KernelSpec:
-    """The kernel spec write_model wrote; the degree comes back as an int,
-    so the polynomial kernel's power keeps its bits."""
+    """The kernel spec write_model wrote; KernelSpec turns the whole-number
+    degree back into an int, so the polynomial kernel's power keeps its bits."""
     degree = _numbers(payload, "degree", 0).item()
     if not degree.is_integer():
         raise SchemaError(f"field 'degree' must be an integer, got {degree}")
     return KernelSpec(family=payload["family"], sigma=_numbers(payload, "sigma", 0).item(),
-                      degree=int(degree), offset=_numbers(payload, "offset", 0).item())
+                      degree=degree, offset=_numbers(payload, "offset", 0).item())
 
 
 def _component_payload(comp: l1.ComponentModel) -> dict:

@@ -89,15 +89,22 @@ class KernelSpec:
         if self.family == "gaussian" and not self.sigma > 0:
             raise InvalidData(f"gaussian width must be positive, got {self.sigma}")
         if self.family == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 1:
+            if not self.degree >= 1:
                 raise InvalidData(f"polynomial degree must be a positive integer, got {self.degree}")
             # A negative offset can make K indefinite, where the sign iteration may cycle.
             if not self.offset >= 0:
                 raise InvalidData(f"polynomial offset must be non-negative, got {self.offset}")
-        # Model files store every field, whatever the family, and read back finite numbers only.
-        for name, value in (("sigma", self.sigma), ("offset", self.offset)):
-            if not np.isfinite(value):
+        # Model files store every field, whatever the family, and read back finite
+        # numbers only (no booleans), through a float: the degree must be exact there.
+        for name in ("sigma", "degree", "offset"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
                 raise InvalidData(f"kernel {name} must be a finite number, got {value}")
+        if int(self.degree) != self.degree or abs(self.degree) > 2**53:
+            raise InvalidData(f"kernel degree must be a whole number of size at most 2**53, "
+                              f"got {self.degree}")
+        for name, kind in (("sigma", float), ("degree", int), ("offset", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "sigma": self.sigma,

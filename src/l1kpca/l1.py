@@ -377,7 +377,8 @@ def transform(model, raw) -> np.ndarray:
     InvalidData. The model's projection W is built once; query rows are
     then scored one row tile (about 1 MB of cross-Gram entries) at a time,
     each with the one product tile @ W, so memory holds the standardized
-    query, one tile plus W and the m x p result.
+    query, one tile plus W and the m x p result. A query on which the
+    kernel overflows or is undefined raises InvalidData, as gram() does.
     """
     train = model.train_ref
     if train is None:
@@ -386,7 +387,12 @@ def transform(model, raw) -> np.ndarray:
     W = model.projection()
     m, step = query.n_samples, _tile_rows(train.n_samples)
     out = np.empty((m, W.shape[1]))
-    for a in range(0, m, step):
-        tile = replace(query, values=query.values[a:a + step])
-        out[a:a + step] = _project(cross_gram(model.spec, train, tile), W)
+    # A non-finite kernel value makes its whole score row non-finite (inf * w is
+    # inf or NaN), so one check of the result refuses it; its float warnings are noise.
+    with np.errstate(all="ignore"):
+        for a in range(0, m, step):
+            tile = replace(query, values=query.values[a:a + step])
+            out[a:a + step] = _project(cross_gram(model.spec, train, tile), W)
+    if not np.all(np.isfinite(out)):
+        raise InvalidData(f"the {model.spec.family} kernel gives non-finite values on this query data")
     return out

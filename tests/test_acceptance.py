@@ -17,7 +17,7 @@ import pytest
 from conftest import deflation_chain
 from l1kpca import (DegenerateComponent, FitOptions, KernelSpec, SynthConfig,
                     build_detector, enumerate_sign_vectors, fit, fit_component, gram,
-                    l2_fit, l2_scores, maxcut_objective, outlier_scores, pr_auc,
+                    l2_fit, l2_scores, maxcut_objective, pr_auc,
                     robustness_sweep, runtime_bench, standardize, synth_generate)
 
 GOLDEN_DETECTION_AUC = 0.939922480620155  # frozen from the first verified run
@@ -242,7 +242,7 @@ def test_criterion_10_detection_pipeline():
     K = gram(KernelSpec("linear"), noisy)
     model = fit(K, 6, FitOptions(starts=8, seed=21))
     det = build_detector(model)
-    assert pr_auc(outlier_scores(det), mask).auc == 1.0
+    assert pr_auc(det.scores, mask).auc == 1.0
 
     # seeded end-to-end run reproduces the committed golden value
     cfg = SynthConfig(n=120, d=8, rank=3, r_percent=10, noise_scale=5.0, seed=11)
@@ -250,7 +250,7 @@ def test_criterion_10_detection_pipeline():
     K = gram(KernelSpec("linear"), noisy)
     model = fit(K, 8, FitOptions(starts=8, seed=11))
     det = build_detector(model)
-    auc = pr_auc(outlier_scores(det), mask).auc
+    auc = pr_auc(det.scores, mask).auc
     assert abs(auc - GOLDEN_DETECTION_AUC) <= 1e-12
     print(f"\nACCEPTANCE 10 PASS: separable case AUC = 1.0 exactly; "
           f"golden run reproduced AUC = {auc}")
@@ -263,7 +263,7 @@ def test_criterion_11_runtime_comparability():
     # the first L1 fit in a process runs up to 2x slower at the default BLAS
     # thread count, while the L2 eigh does not; the ratio below is of warm fits.
     fit(gram(KernelSpec("linear"), noisy), min(cfg.n, cfg.d), FitOptions(starts=8))
-    rows = runtime_bench({"synth1000": noisy}, [KernelSpec("linear")], starts=8)
+    rows = runtime_bench("synth1000", noisy, [KernelSpec("linear")], starts=8)
     t_l1 = next(r["seconds"] for r in rows if r["method"] == "l1")
     t_l2 = next(r["seconds"] for r in rows if r["method"] == "l2")
     assert t_l1 < 60.0 and t_l2 < 60.0

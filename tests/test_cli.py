@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from l1kpca import (DatasetFile, FitOptions, GramMatrix, KernelSpec, fit, gram, kernel, l1,
+from l1kpca import (FitOptions, GramMatrix, KernelSpec, fit, gram, kernel, l1,
                     l2_fit, read_csv, write_model)
 from l1kpca.cli import main
 
@@ -386,7 +387,7 @@ def test_robustness_rejects_bad_grid_or_seed_count_with_data_error(capsys, flags
 def test_transform_refuses_a_model_without_training_data_with_the_library_message(tmp_path,
                                                                                   capsys):
     noisy, normal = make_synth_files(tmp_path, capsys)
-    K = gram(KernelSpec("linear"), read_csv(DatasetFile(path=str(noisy), label_column=4)))
+    K = gram(KernelSpec("linear"), read_csv(str(noisy), label_column=4))
     hand_built = GramMatrix(entries=K.entries, spec=K.spec)  # carries no dataset
     for model in (fit(hand_built, 2, FitOptions(starts=8, seed=0)), l2_fit(hand_built, 2)):
         model_path = tmp_path / "no-train.json"
@@ -395,6 +396,29 @@ def test_transform_refuses_a_model_without_training_data_with_the_library_messag
                                  "--data", str(normal))
         assert (code, out) == (3, "")
         assert err == "l1kpca: model carries no training data; cannot score new samples\n"
+
+
+@pytest.mark.parametrize("fit_command", ["fit", "fit-l2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_transform_refuses_a_query_on_which_the_kernel_overflows(tmp_path, capsys, fit_command,
+                                                                 fmt):
+    noisy, normal = make_synth_files(tmp_path, capsys)
+    model_path, out_path = tmp_path / "model.json", tmp_path / "scores.out"
+    code, _, _ = run_cli(capsys, fit_command, "--data", str(noisy), "--label-column", "4",
+                         "--kernel", "poly", "--degree", "3", "--components", "2",
+                         "--model", str(model_path))
+    assert code == 0
+    rows = normal.read_text().splitlines()
+    rows[0] = "1e200," + rows[0].partition(",")[2]
+    query = tmp_path / "query.csv"
+    query.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "transform", "--model", str(model_path),
+                                 "--data", str(query), "--format", fmt, "--output", str(out_path))
+    assert (code, out) == (3, "")
+    assert err == "l1kpca: the polynomial kernel gives non-finite values on this query data\n"
+    assert not out_path.exists()
 
 
 def test_fit_l2_and_transform(tmp_path, capsys):
@@ -425,7 +449,7 @@ def test_csv_output_format(tmp_path, capsys):
     assert len(lines) == 2 + 40
 
 
-def test_jsonl_output_format(capsys):
+def test_jsonl_output_format(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "robustness", "--grid", "10,20", "--seeds", "1",
                            "--n", "24", "--d", "4", "--rank", "2", "--p", "2",
                            "--format", "jsonl")
@@ -436,6 +460,28 @@ def test_jsonl_output_format(capsys):
     assert header["config"]["command"] == "robustness"
     rows = [json.loads(line) for line in lines[1:]]
     assert [row["r_percent"] for row in rows] == [10.0, 20.0]
+
+    # transform and detect: one object per CSV row, keyed like the CSV header,
+    # holding the CSV's values.
+    noisy, normal = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "model.json"
+    run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4", "--components", "2",
+            "--model", str(model_path))
+    commands = {"transform": ("--model", str(model_path), "--data", str(normal)),
+                "detect": ("--data", str(noisy), "--label-column", "4")}
+    for command, flags in commands.items():
+        code, out, _ = run_cli(capsys, command, *flags, "--format", "jsonl")
+        assert code == 0
+        header, *rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert header["config"]["command"] == command
+        code, out, _ = run_cli(capsys, command, *flags, "--format", "csv")
+        assert code == 0
+        csv_lines = out.strip().splitlines()[1:]
+        keys = csv_lines[0].split(",")
+        assert len(rows) == len(csv_lines) - 1 > 1
+        for row, line in zip(rows, csv_lines[1:]):
+            assert list(row) == keys
+            assert [str(v) for v in row.values()] == line.split(",")
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -530,7 +576,6 @@ CLI_KERNEL_SPECS = {"linear": KernelSpec("linear"), "gaussian": KernelSpec("gaus
 def test_library_model_file_equals_cli_model_file(tmp_path, capsys, kernel):
     spec = CLI_KERNEL_SPECS[kernel]
     noisy, _ = make_synth_files(tmp_path, capsys)
-    data_file = DatasetFile(path=str(noisy), label_column=4)
     library = {"fit": lambda K: fit(K, 2, FitOptions(starts=8, seed=3)),
                "fit-l2": lambda K: l2_fit(K, 2)}
     for command, fit_model in library.items():
@@ -539,7 +584,7 @@ def test_library_model_file_equals_cli_model_file(tmp_path, capsys, kernel):
                              "--kernel", kernel, "--components", "2", "--seed", "3",
                              "--model", str(cli_path))
         assert code == 0
-        write_model(fit_model(gram(spec, read_csv(data_file))), str(lib_path))
+        write_model(fit_model(gram(spec, read_csv(str(noisy), label_column=4))), str(lib_path))
         assert lib_path.read_bytes() == cli_path.read_bytes()
         code, _, _ = run_cli(capsys, "transform", "--model", str(lib_path), "--data", str(noisy),
                              "--label-column", "4")

@@ -3,9 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_instance
-from l1kpca import (DegenerateComponent, DetectionModel, FitOptions, InvalidData,
-                    build_detector, classify, fit, l2_fit, outlier_scores, pr_auc,
-                    select_alpha)
+from l1kpca import (DegenerateComponent, FitOptions, InvalidData, build_detector, classify,
+                    fit, l2_fit, pr_auc, select_alpha)
 
 
 # ---------------------------------------------------------------- select_alpha
@@ -43,41 +42,64 @@ def test_select_alpha_rejects_degenerate_input():
         select_alpha([])
 
 
-# -------------------------------------------------------------- outlier_scores
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_alpha_rejects_non_finite_variances(bad):
+    with pytest.raises(InvalidData, match="finite nonnegative"):
+        select_alpha([1.0, bad])
+
+
+# ------------------------------------------------------ build_detector scores
+
+class StubModel:
+    """A fitted model as build_detector reads it: only training_scores()."""
+
+    def __init__(self, Y):
+        self.Y = np.asarray(Y, dtype=float)
+
+    def training_scores(self):
+        return self.Y
+
 
 def test_score_of_sqrt_variance_row_is_one():
-    model = DetectionModel(score_matrix=np.array([[np.sqrt(3.0)]]),
-                           variances=np.array([3.0]), alpha=3.0, retained=[0])
-    npt.assert_allclose(outlier_scores(model), [1.0])
+    # one column of population variance 3; both rows sit at sqrt(3)
+    det = build_detector(StubModel([[np.sqrt(3.0)], [-np.sqrt(3.0)]]))
+    npt.assert_allclose(det.variances, [3.0])
+    npt.assert_allclose(det.scores, [1.0, 1.0])
 
 
 def test_zero_row_scores_zero():
-    model = DetectionModel(score_matrix=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                           variances=np.array([1.0, 2.0]), alpha=1.0, retained=[0, 1])
-    npt.assert_allclose(outlier_scores(model)[0], 0.0)
+    det = build_detector(StubModel([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]))
+    assert det.retained == [0, 1]
+    npt.assert_allclose(det.scores[0], 0.0)
 
 
 def test_scores_hand_example():
-    model = DetectionModel(score_matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                           variances=np.array([1.0, 2.0]), alpha=1.0, retained=[0, 1])
-    npt.assert_allclose(outlier_scores(model), [3.0, 17.0])
+    # variances 5 and 2 (total 7, cutoff 2): both retained
+    det = build_detector(StubModel([[1.0, 2.0], [-1.0, -2.0], [3.0, 0.0], [-3.0, 0.0]]))
+    npt.assert_allclose(det.variances, [5.0, 2.0])
+    assert (det.alpha, det.retained) == (2.0, [0, 1])
+    npt.assert_allclose(det.scores, [1 / 5 + 4 / 2, 1 / 5 + 4 / 2, 9 / 5, 9 / 5])
+    # variances 1 and 4 (cutoff 4): the first column is dropped and adds nothing
+    det = build_detector(StubModel([[1.0, 2.0], [-1.0, -2.0]]))
+    assert (det.alpha, det.retained) == (4.0, [1])
+    npt.assert_allclose(det.scores, [1.0, 1.0])
 
 
 def test_scores_invariant_under_column_sign_flips():
     rng = np.random.default_rng(1)
     Y = rng.standard_normal((6, 3))
-    lam = np.array([2.0, 1.0, 0.5])
-    base = DetectionModel(score_matrix=Y, variances=lam, alpha=0.5, retained=[0, 1, 2])
-    flipped = DetectionModel(score_matrix=Y * np.array([-1.0, 1.0, -1.0]),
-                             variances=lam, alpha=0.5, retained=[0, 1, 2])
-    npt.assert_allclose(outlier_scores(flipped), outlier_scores(base))
+    base = build_detector(StubModel(Y))
+    flipped = build_detector(StubModel(Y * np.array([-1.0, 1.0, -1.0])))
+    assert flipped.retained == base.retained
+    npt.assert_allclose(flipped.scores, base.scores)
 
 
-def test_scores_reject_empty_retention():
-    model = DetectionModel(score_matrix=np.ones((2, 1)), variances=np.array([1.0]),
-                           alpha=1.0, retained=[])
+def test_detector_refuses_score_columns_without_finite_variance():
+    # A NaN score column has a NaN variance; all-zero columns retain nothing.
+    with pytest.raises(InvalidData):
+        build_detector(StubModel([[1.0, np.nan], [-1.0, 0.0]]))
     with pytest.raises(DegenerateComponent):
-        outlier_scores(model)
+        build_detector(StubModel(np.zeros((3, 2))))
 
 
 # -------------------------------------------------------------------- classify
@@ -165,5 +187,6 @@ def test_detector_end_to_end_is_deterministic():
         K = gram(KernelSpec("linear"), noisy)
         model = fit(K, 4, FitOptions(starts=8, seed=17))
         det = build_detector(model)
-        aucs.append(pr_auc(outlier_scores(det), mask).auc)
+        aucs.append(pr_auc(det.scores, mask).auc)
     assert aucs[0] == aucs[1]
+

@@ -291,7 +291,7 @@ def test_sweep_rows_cover_grid_in_order():
 
 def test_bench_tiny_dataset_under_a_second():
     noisy, _, _ = synth_generate(SynthConfig(n=25, d=4, rank=2, seed=13))
-    rows = runtime_bench({"tiny": noisy}, [KernelSpec("linear")], starts=4)
+    rows = runtime_bench("tiny", noisy, [KernelSpec("linear")], starts=4)
     assert {row["method"] for row in rows} == {"l1", "l2"}
     assert all(row["seconds"] < 1.0 for row in rows)
     assert all(row["p"] == 4 for row in rows)

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import deflation_chain, instance_rows, make_instance
-from l1kpca import (DatasetFile, DegenerateComponent, FitOptions, InvalidData, ParseError,
+from l1kpca import (DegenerateComponent, FitOptions, InvalidData, KernelSpec, ParseError,
                     SchemaError, build_detector, fit, gram, l2_fit, read_csv, read_model,
                     transform, write_csv, write_model)
 from l1kpca.io import FORMAT_VERSION, read_csv_raw
+from l1kpca.kernel import KERNEL_FAMILIES
 
 
 def test_read_plain_numeric_file(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1.5,2.0\n3.0,4.5\n5.0,6.0\n")
-    data = read_csv(DatasetFile(str(path)))
+    data = read_csv(str(path))
     assert data.n_samples == 3 and data.n_features == 2
     assert data.labels is None
 
@@ -23,7 +24,7 @@ def test_read_plain_numeric_file(tmp_path):
 def test_read_with_header_and_named_label_column(tmp_path):
     path = tmp_path / "labeled.csv"
     path.write_text("x,y,flag\n1,2,0\n3,4,1\n5,6,normal\n7,8,outlier\n")
-    data = read_csv(DatasetFile(str(path), has_header=True, label_column="flag"))
+    data = read_csv(str(path), header=True, label_column="flag")
     npt.assert_array_equal(data.labels, [0, 1, 0, 1])
     assert data.n_features == 2
 
@@ -31,7 +32,7 @@ def test_read_with_header_and_named_label_column(tmp_path):
 def test_read_with_all_zero_labels(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("1,2,0\n3,4,0\n5,9,0\n")
-    data = read_csv(DatasetFile(str(path), label_column=2))
+    data = read_csv(str(path), label_column=2)
     assert data.labels.sum() == 0
 
 
@@ -39,22 +40,22 @@ def test_read_reports_parse_positions(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1,2\n3\n")
     with pytest.raises(ParseError) as info:
-        read_csv(DatasetFile(str(ragged)))
+        read_csv(str(ragged))
     assert info.value.line == 2
 
     bad_cell = tmp_path / "bad.csv"
     bad_cell.write_text("1,2\n3,abc\n")
     with pytest.raises(ParseError) as info:
-        read_csv(DatasetFile(str(bad_cell)))
+        read_csv(str(bad_cell))
     assert (info.value.line, info.value.column) == (2, 2)
 
     bad_label = tmp_path / "badlabel.csv"
     bad_label.write_text("1,2,maybe\n")
     with pytest.raises(ParseError):
-        read_csv(DatasetFile(str(bad_label), label_column=2))
+        read_csv(str(bad_label), label_column=2)
 
     with pytest.raises(ParseError):
-        read_csv(DatasetFile(str(tmp_path / "missing.csv")))
+        read_csv(str(tmp_path / "missing.csv"))
 
 
 _LABEL_VALUES = {"0": 0, "1": 1, "normal": 0, "outlier": 1}
@@ -125,15 +126,14 @@ def test_bulk_csv_parse_equals_per_cell_float_parse(tmp_path, data, n, width, ha
     text = "\n".join(lines) + "\n"
     path = tmp_path / "generated.csv"
     path.write_text(text, encoding="utf-8")
-    file = DatasetFile(str(path), has_header=has_header, label_column=label_idx)
     expected = per_cell_parse(text, has_header, label_idx)
     if isinstance(expected[0], str):
         with pytest.raises(ParseError) as info:
-            read_csv_raw(file)
+            read_csv_raw(str(path), has_header, label_idx)
         assert (info.value.line, info.value.column) == expected[1:]
         assert expected[0] in str(info.value)
         return
-    values, labels = read_csv_raw(file)
+    values, labels = read_csv_raw(str(path), has_header, label_idx)
     assert values.shape == expected[0].shape and values.tobytes() == expected[0].tobytes()
     assert (labels is None) == (label_idx is None)
     if labels is not None:
@@ -145,7 +145,7 @@ def test_csv_round_trip_preserves_values(tmp_path):
     data, _ = make_instance(0, n=12, d=4)
     path = tmp_path / "round.csv"
     write_csv(str(path), data.values)
-    again = read_csv(DatasetFile(str(path)))
+    again = read_csv(str(path))
     # standardizing already-standardized values is a no-op to rounding
     npt.assert_allclose(again.values, data.values, atol=1e-12)
 
@@ -180,6 +180,40 @@ def test_l2_model_round_trip(tmp_path):
     npt.assert_array_equal(loaded.coefficient_vectors, model.coefficient_vectors)
     npt.assert_array_equal(loaded.training_scores(), model.training_scores())
     assert loaded.spec == model.spec
+
+
+# Values every family's KernelSpec takes, whatever number type holds them, and
+# values it refuses for every family: model files store all three fields and
+# read back finite numbers only, never a boolean, with a whole-number degree.
+SPEC_VALUES_KEPT = [("sigma", 2), ("sigma", np.float32(0.5)), ("degree", 3), ("degree", 4.0),
+                    ("degree", np.int64(2)), ("offset", 0), ("offset", np.float64(2.5))]
+# The polynomial family refuses -5 and overflows at 2**53; the others keep both.
+SPEC_VALUES_KEPT_OFF_POLYNOMIAL = [("degree", 2**53), ("degree", -5)]
+SPEC_VALUES_REFUSED = [("degree", 2.5), ("degree", np.inf), ("degree", 1e300), ("degree", 2**53 + 1),
+                       ("degree", True), ("sigma", True), ("sigma", np.True_), ("offset", False)]
+
+
+@pytest.mark.parametrize("family, field, value, kept", [
+    *[(fam, f, v, True) for fam in KERNEL_FAMILIES for f, v in SPEC_VALUES_KEPT],
+    *[(fam, f, v, True) for fam in ("linear", "gaussian") for f, v in SPEC_VALUES_KEPT_OFF_POLYNOMIAL],
+    *[(fam, f, v, False) for fam in KERNEL_FAMILIES for f, v in SPEC_VALUES_REFUSED]])
+def test_every_accepted_kernel_spec_round_trips_through_a_model_file(tmp_path, family, field,
+                                                                     value, kept):
+    if not kept:
+        with pytest.raises(InvalidData, match=f"{field} must be"):
+            KernelSpec(family, **{field: value})
+        return
+    spec = KernelSpec(family, **{field: value})
+    data, _ = make_instance(5, n=10, d=3)
+    model = l2_fit(gram(spec, data), 2)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_model(model, str(first))
+    loaded = read_model(str(first))
+    assert loaded.spec == spec
+    assert [type(getattr(loaded.spec, f)) for f in ("sigma", "degree", "offset")] == \
+        [type(getattr(spec, f)) for f in ("sigma", "degree", "offset")] == [float, int, float]
+    write_model(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_write_model_refuses_detection_model(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -449,6 +450,23 @@ def test_transform_rejects_feature_mismatch():
         transform(model, np.ones((2, 5)))
 
 
+def test_transform_refuses_a_query_on_which_the_kernel_overflows():
+    # (a.b + 1)^3 passes the float range on a row holding 1e200: the scores
+    # would be NaN, so the query is refused, with no float warning on the way.
+    raw = instance_rows(613, 12, 3)
+    data = standardize(raw)
+    K = gram(KernelSpec("polynomial", degree=3), data)
+    query = raw[:4].copy()
+    query[1, 0] = 1e200
+    for model in (fit(K, 2, FitOptions(starts=8, seed=0)), l2_fit(K, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidData, match="^the polynomial kernel gives non-finite "
+                                                  "values on this query data$"):
+                transform(model, query)
+            assert np.all(np.isfinite(transform(model, np.delete(query, 1, axis=0))))
+
+
 def test_transform_rejects_model_whose_training_rows_disagree_with_its_components():
     data, K = make_instance(612, n=8, d=3)
     model = replace(fit(K, 2, FitOptions(starts=8, seed=0)),
@@ -635,8 +653,10 @@ def test_l1_and_l2_models_share_transform_and_detector():
         npt.assert_allclose(model.scores(cross_gram(model.spec, data, data), 2),
                             transform(model, raw)[:, :2], rtol=0, atol=1e-12)
         det = build_detector(model)
-        npt.assert_array_equal(det.score_matrix, Y)
         npt.assert_array_equal(det.variances, Y.var(axis=0))
+        Yr = Y[:, det.retained]
+        expected = (Yr * Yr / det.variances[det.retained]).sum(axis=1)
+        assert det.scores.tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------- linear-kernel equivalence
