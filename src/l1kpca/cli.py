@@ -5,11 +5,17 @@ oracle. Every run echoes its resolved configuration into the output
 header; identical argv (and seed) produce byte-identical output, except
 for bench's wall-clock fields. Exit codes: 0 success, 2 usage error,
 otherwise the raised error's exit_code (3 data error, 4 numerical error).
+
+main may be called many times in one process; the calls share one parser,
+built on the first call. argparse keeps nothing between parse_args calls
+(each fills a fresh Namespace), so a call's output does not depend on the
+calls before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,6 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main() builds per process and reuses on every call."""
+    return build_parser()
 
 
 def _label_column(args) -> str | int | None:
@@ -285,8 +297,7 @@ _COMMANDS = {"fit": _cmd_fit, "fit-l2": _cmd_fit_l2, "transform": _cmd_transform
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
     except L1KpcaError as exc:

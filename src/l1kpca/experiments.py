@@ -51,6 +51,8 @@ class SynthConfig:
             raise InvalidData(f"rank {self.rank} exceeds min(n, d) = {min(self.n, self.d)}")
         if not 0 <= self.r_percent < 100:
             raise InvalidData(f"corruption percentage {self.r_percent} not in [0, 100)")
+        if self.seed < 0:
+            raise InvalidData(f"seed {self.seed} must be at least 0")
 
 
 @dataclass

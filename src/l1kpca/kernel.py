@@ -29,6 +29,8 @@ mirrored in place, tile by tile.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +76,15 @@ class Dataset:
         return self.values.shape[1]
 
 
+def _overflows_float(value) -> bool:
+    """True for a real number, such as 10**400, that float() cannot hold."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus its parameters."""
@@ -86,6 +97,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise InvalidData(f"unknown kernel family {self.family!r}")
+        # The checks below compare and convert the fields: anything but a real
+        # number that a float can hold (a string, None, an int past 1.8e308) is
+        # refused first.
+        for name in ("sigma", "degree", "offset"):
+            value = getattr(self, name)
+            if not isinstance(value, (numbers.Real, np.bool_)) or _overflows_float(value):
+                raise InvalidData(f"kernel {name} must be a finite number, got {value!r}")
         if self.family == "gaussian" and not self.sigma > 0:
             raise InvalidData(f"gaussian width must be positive, got {self.sigma}")
         if self.family == "polynomial":
@@ -98,7 +116,7 @@ class KernelSpec:
         # numbers only (no booleans), through a float: the degree must be exact there.
         for name in ("sigma", "degree", "offset"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+            if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
                 raise InvalidData(f"kernel {name} must be a finite number, got {value}")
         if int(self.degree) != self.degree or abs(self.degree) > 2**53:
             raise InvalidData(f"kernel degree must be a whole number of size at most 2**53, "

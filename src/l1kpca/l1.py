@@ -51,6 +51,9 @@ class FitOptions:
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidData(f"start count {self.starts} must be at least 1")
+        # numpy's SeedSequence takes non-negative entropy only.
+        if self.seed < 0:
+            raise InvalidData(f"seed {self.seed} must be at least 0")
 
 
 def _zero_band(K: np.ndarray) -> float:

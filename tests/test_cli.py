@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -637,3 +638,127 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["fit", "--no-such-flag"])
     assert info.value.code == 2
+
+
+SEEDED_COMMANDS = {
+    "fit": ["--data", "noisy.csv", "--label-column", "4", "--model", "m.json"],
+    "fit --starts 1": ["--data", "noisy.csv", "--label-column", "4", "--starts", "1",
+                       "--model", "m.json"],
+    "detect": ["--data", "noisy.csv", "--label-column", "4", "--output", "scores.json"],
+    "oracle": ["--data", "noisy.csv", "--label-column", "4", "--output", "oracle.json"],
+    "bench": ["--data", "noisy.csv", "--label-column", "4", "--output", "bench.json"],
+    "robustness": ["--grid", "10", "--seeds", "1", "--n", "12", "--d", "4", "--rank", "2",
+                   "--p", "2", "--output", "sweep.json"],
+    "synth": ["--out-noisy", "noisy2.csv", "--out-normal", "normal2.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_is_a_data_error_before_any_output(tmp_path, capsys, monkeypatch, command):
+    make_synth_files(tmp_path, capsys, n=12)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, *command.split(), *SEEDED_COMMANDS[command], "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "l1kpca: seed -1 must be at least 0\n"
+    assert sorted(tmp_path.iterdir()) == before  # no model, output or data file written
+
+
+def test_commands_that_never_read_the_seed_accept_a_negative_one(tmp_path, capsys):
+    noisy, normal = make_synth_files(tmp_path, capsys, n=12)
+    model_path = tmp_path / "m.json"
+    code, _, _ = run_cli(capsys, "fit-l2", "--data", str(noisy), "--label-column", "4",
+                         "--model", str(model_path), "--seed", "-1")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "transform", "--model", str(model_path), "--data", str(normal),
+                         "--seed", "-1")
+    assert code == 0
+
+
+# One call of every command, in order, in a working directory of its own; the
+# files each writes there are compared along with its output.
+EVERY_COMMAND = [
+    (["synth", "--n", "12", "--d", "4", "--rank", "2", "--seed", "7",
+      "--out-noisy", "noisy.csv", "--out-normal", "normal.csv"], ["noisy.csv", "normal.csv"]),
+    (["fit", "--data", "noisy.csv", "--label-column", "4", "--components", "2",
+      "--model", "l1.json", "--format", "jsonl"], ["l1.json"]),
+    (["fit-l2", "--data", "noisy.csv", "--label-column", "4", "--components", "2",
+      "--model", "l2.json"], ["l2.json"]),
+    (["transform", "--model", "l1.json", "--data", "normal.csv", "--format", "csv"], []),
+    (["detect", "--data", "noisy.csv", "--label-column", "4", "--kernel", "gaussian",
+      "--threshold", "1.5"], []),
+    (["robustness", "--grid", "10,20", "--seeds", "1", "--n", "12", "--d", "4", "--rank", "2",
+      "--p", "2", "--format", "csv", "--output", "sweep.csv"], ["sweep.csv"]),
+    (["bench", "--data", "noisy.csv", "--label-column", "4", "--kernels", "linear,poly",
+      "--components", "2"], []),
+    (["oracle", "--data", "noisy.csv", "--label-column", "4", "--kernel", "poly"], []),
+]
+
+
+def test_main_builds_one_parser_and_repeats_every_command_byte_for_byte(tmp_path, capsys,
+                                                                        monkeypatch):
+    from l1kpca import cli
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    rounds = []
+    for _ in range(2):
+        seen = []
+        for argv, written in EVERY_COMMAND:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            if argv[0] == "bench":
+                out = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out)
+            seen.append((out, err, {name: (tmp_path / name).read_bytes() for name in written}))
+        rounds.append(seen)
+    assert rounds[0] == rounds[1]
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv", [["fit", "--data", "noisy.csv", "--model", "m.json",
+                                   "--format", "csv"],
+                                  ["fit", "--no-such-flag"],
+                                  ["--help"]])
+def test_a_shared_parser_answers_usage_errors_and_help_as_a_fresh_one(tmp_path, capsys,
+                                                                      monkeypatch, argv):
+    from l1kpca import cli
+
+    def exit_of(argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        return info.value.code, capsys.readouterr()
+
+    cli._parser.cache_clear()
+    first = exit_of(argv)
+    make_synth_files(tmp_path, capsys, n=12)  # a successful call on the same parser
+    assert exit_of(argv) == first
+    assert first[0] == (0 if argv == ["--help"] else 2)
+    if argv == ["--help"]:
+        for command in cli._COMMANDS:
+            assert command in first[1].out
+
+
+def test_flags_of_one_call_do_not_carry_into_the_next(tmp_path, capsys):
+    noisy, normal = make_synth_files(tmp_path, capsys, n=12)
+    model_path, scores_path = tmp_path / "m.json", tmp_path / "scores.csv"
+    code, _, _ = run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4",
+                         "--model", str(model_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "transform", "--model", str(model_path), "--data", str(normal),
+                           "--format", "csv", "--output", str(scores_path))
+    assert code == 0
+    assert out == ""
+    assert scores_path.read_text().startswith("# ")
+    code, out, _ = run_cli(capsys, "transform", "--model", str(model_path), "--data", str(normal))
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["format"], config["output"]) == ("json", "-")

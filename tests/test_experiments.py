@@ -48,6 +48,8 @@ def test_synth_config_validation():
         SynthConfig(n=5, d=3, rank=4)
     with pytest.raises(InvalidData):
         SynthConfig(r_percent=100)
+    with pytest.raises(InvalidData, match=r"^seed -1 must be at least 0$"):
+        SynthConfig(seed=-1)
 
 
 # ------------------------------------------------- total explained variation

@@ -122,6 +122,24 @@ def test_spec_refuses_a_non_finite_sigma_or_offset_for_every_family(family, fiel
         KernelSpec(family, **{field: value})
 
 
+@pytest.mark.parametrize("family", ["linear", "gaussian", "polynomial"])
+@pytest.mark.parametrize("field, value", [("sigma", "2"), ("sigma", None), ("degree", "3"),
+                                          ("degree", None), ("offset", "1"), ("offset", None),
+                                          ("sigma", 10**400), ("degree", 10**400),
+                                          ("offset", 10**400), ("offset", -10**400)])
+def test_spec_refuses_a_field_that_is_no_float_number_for_every_family(family, field, value):
+    # Refused before the family checks compare the field, with the same message everywhere.
+    with pytest.raises(InvalidData, match=rf"^kernel {field} must be a finite number, got "):
+        KernelSpec(family, **{field: value})
+
+
+@pytest.mark.parametrize("family, message", [("gaussian", "gaussian width must be positive"),
+                                             ("linear", "kernel sigma must be a finite number")])
+def test_spec_keeps_the_family_message_for_a_nan_width(family, message):
+    with pytest.raises(InvalidData, match=f"^{message}, got nan$"):
+        KernelSpec(family, sigma=float("nan"))
+
+
 def test_gram_linear_identity_rows():
     K = gram(KernelSpec("linear"), raw_dataset(np.eye(2)))
     npt.assert_allclose(K.entries, np.eye(2))

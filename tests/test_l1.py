@@ -336,6 +336,13 @@ def test_fit_options_reject_start_count_below_one(starts):
         FitOptions(starts=starts)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_fit_options_reject_a_negative_seed(seed):
+    # numpy's SeedSequence takes non-negative entropy only.
+    with pytest.raises(InvalidData, match=rf"^seed {seed} must be at least 0$"):
+        FitOptions(seed=seed)
+
+
 def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
     # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
     _, K = make_instance(42, n=12, d=3)
