@@ -18,8 +18,8 @@ from .l1 import (ComponentModel, ConvergenceReport, FitOptions, KpcaModel, defla
 from .l2 import EigenModel, l2_fit, l2_scores
 from .oracle import OracleResult, enumerate_sign_vectors, maxcut_objective
 from .detect import DetectionModel, PRCurve, build_detector, classify, pr_auc, select_alpha
-from .experiments import (RobustnessResult, SynthConfig, robustness_sweep, runtime_bench,
-                          synth_generate, total_explained_variation)
+from .experiments import (SynthConfig, robustness_sweep, runtime_bench, synth_generate,
+                          total_explained_variation)
 from .io import read_csv, read_model, write_csv, write_model
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "OracleResult", "enumerate_sign_vectors", "maxcut_objective",
     "DetectionModel", "PRCurve", "select_alpha", "classify", "pr_auc",
     "build_detector",
-    "SynthConfig", "RobustnessResult", "synth_generate", "total_explained_variation",
+    "SynthConfig", "synth_generate", "total_explained_variation",
     "robustness_sweep", "runtime_bench",
     "read_csv", "write_csv", "write_model", "read_model",
 ]

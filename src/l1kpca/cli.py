@@ -224,16 +224,19 @@ def _cmd_detect(args) -> None:
     scores = detector.scores
     payload = {"alpha": detector.alpha, "retained": detector.retained,
                "variances": detector.variances.tolist(), "scores": scores.tolist()}
+    header, columns = ["sample", "score"], [range(scores.size), payload["scores"]]
     if args.threshold is not None:
         payload["flags"] = detect.classify(scores, args.threshold).tolist()
+        header.append("flag")
+        columns.append(payload["flags"])
     if data.labels is not None and data.labels.sum() > 0:
         curve = detect.pr_auc(scores, data.labels)
         payload["pr_curve"] = curve.points
         payload["auc"] = curve.auc
     _emit(args, payload,
-          csv_rows=([i, repr(float(s))] for i, s in enumerate(scores)),
-          csv_header=["sample", "score"],
-          jsonl_rows=({"sample": i, "score": s} for i, s in enumerate(scores.tolist())))
+          csv_rows=([i, repr(s), *flag] for i, s, *flag in zip(*columns)),
+          csv_header=header,
+          jsonl_rows=(dict(zip(header, row)) for row in zip(*columns)))
 
 
 def _cmd_synth(args) -> None:
@@ -255,13 +258,13 @@ def _cmd_robustness(args) -> None:
     spec = _kernel_spec(args, args.d)
     cfg = experiments.SynthConfig(n=args.n, d=args.d, rank=args.rank,
                                   noise_scale=args.noise_scale, seed=args.seed)
-    rows = experiments.robustness_sweep(r_values, [spec], cfg=cfg, p=args.p,
+    rows = experiments.robustness_sweep(r_values, spec, cfg=cfg, p=args.p,
                                         n_seeds=args.seeds, starts=args.starts)
-    _emit(args, {"results": [r.to_dict() for r in rows]},
-          csv_rows=[[r.r_percent, r.kernel["family"], repr(r.tev_l1), repr(r.tev_l2), r.p]
-                    for r in rows],
+    _emit(args, {"results": rows},
+          csv_rows=[[r["r_percent"], r["kernel"]["family"], repr(r["tev_l1"]), repr(r["tev_l2"]),
+                     r["p"]] for r in rows],
           csv_header=["r_percent", "kernel", "tev_l1", "tev_l2", "p"],
-          jsonl_rows=[r.to_dict() for r in rows])
+          jsonl_rows=rows)
 
 
 def _cmd_bench(args) -> None:

@@ -79,12 +79,15 @@ def pr_auc(scores, labels) -> PRCurve:
 
     Thresholds sweep the distinct score values; tied scores are processed
     as a single step. Each point is (recall, precision) of the rule
-    "flag everything scoring >= that value".
+    "flag everything scoring >= that value". A NaN or infinite score
+    raises InvalidData.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InvalidData(f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidData("scores must be finite numbers")
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise InvalidData("labels contain no positives")

@@ -23,8 +23,7 @@ so it cannot see the +c / -c ties those bits settle.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,22 +52,6 @@ class SynthConfig:
             raise InvalidData(f"corruption percentage {self.r_percent} not in [0, 100)")
         if self.seed < 0:
             raise InvalidData(f"seed {self.seed} must be at least 0")
-
-
-@dataclass
-class RobustnessResult:
-    """One sweep cell: mean explained-variation of both solvers at one r."""
-
-    r_percent: float
-    kernel: dict
-    tev_l1: float
-    tev_l2: float
-    p: int
-    seeds: list[int] = field(default_factory=list)
-    noise_scale: float = 5.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
@@ -138,7 +121,8 @@ def _explained_percent(model, cross: np.ndarray, p: int, denominator: float) -> 
 
 
 def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
-                seeds: list[int], starts: int) -> RobustnessResult:
+                seeds: list[int], starts: int) -> dict:
+    """One sweep row: the mean explained variation of both solvers at r."""
     tev1, tev2 = [], []
     for seed in seeds:
         cell_cfg = replace(cfg, r_percent=r, seed=seed)
@@ -152,25 +136,30 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
         model2 = l2.l2_fit(K_noisy, p)
         tev1.append(_explained_percent(model1, cross, p, denominator))
         tev2.append(_explained_percent(model2, cross, p, denominator))
-    return RobustnessResult(r_percent=r, kernel=spec.to_dict(),
-                            tev_l1=float(np.mean(tev1)), tev_l2=float(np.mean(tev2)),
-                            p=p, seeds=list(seeds), noise_scale=cfg.noise_scale)
+    return {"r_percent": r, "kernel": spec.to_dict(), "tev_l1": float(np.mean(tev1)),
+            "tev_l2": float(np.mean(tev2)), "p": p, "seeds": list(seeds),
+            "noise_scale": cfg.noise_scale}
 
 
-def robustness_sweep(r_values, specs, cfg: SynthConfig = SynthConfig(), p: int = 4,
-                     n_seeds: int = 10, starts: int = l1.DEFAULT_STARTS) -> list[RobustnessResult]:
-    """Mean explained-variation of both solvers over a (r, kernel) grid.
+def robustness_sweep(r_values, spec: KernelSpec, cfg: SynthConfig = SynthConfig(), p: int = 4,
+                     n_seeds: int = 10, starts: int = l1.DEFAULT_STARTS) -> list[dict]:
+    """Mean explained variation of both solvers at each r of r_values, under one kernel.
 
-    Rows come in grid order, kernels outer and r inner. The k-th instance
-    of the cell at grid position idx has the seed
+    One row per r, in grid order, with the keys r_percent, kernel (the
+    spec's dict), tev_l1, tev_l2, p, seeds and noise_scale. The k-th
+    instance of the cell at grid position idx has the seed
     default_rng([cfg.seed, idx, k]).integers(2**31), so a cell's instances
-    depend on its position alone, not on which cells ran before it. A seed
-    count below 1 raises InvalidData: a cell with no instance has no mean.
+    depend on its position alone, not on which cells ran before it. An
+    empty grid or a seed count below 1 raises InvalidData: there would be
+    no row, or a row with no mean.
     """
     if n_seeds < 1:
         raise InvalidData(f"seed count {n_seeds} must be at least 1")
+    r_values = list(r_values)
+    if not r_values:
+        raise InvalidData("the r grid must hold at least one value")
     rows = []
-    for idx, (spec, r) in enumerate(product(specs, r_values)):
+    for idx, r in enumerate(r_values):
         seeds = [int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31))
                  for k in range(n_seeds)]
         rows.append(_sweep_cell(r, spec, cfg, p, seeds, starts))

@@ -10,7 +10,8 @@ envelope serves both kinds: version, kind and kernel spec, then the
 kind's body (L1 components, or L2 eigenvalues and coefficient vectors),
 then the optional training data. Gram matrices are never persisted, so
 files stay O(n*d + n*p) instead of O(n^2). read_model decodes every
-number scoring uses through one typed reader, _numbers.
+number scoring uses through one typed reader, _numbers, and hands the
+kernel spec's raw values to KernelSpec, whose field rules are the only ones.
 """
 
 from __future__ import annotations
@@ -193,16 +194,6 @@ def _dataset_from(payload: dict) -> Dataset:
     return data
 
 
-def _spec_from(payload: dict) -> KernelSpec:
-    """The kernel spec write_model wrote; KernelSpec turns the whole-number
-    degree back into an int, so the polynomial kernel's power keeps its bits."""
-    degree = _numbers(payload, "degree", 0).item()
-    if not degree.is_integer():
-        raise SchemaError(f"field 'degree' must be an integer, got {degree}")
-    return KernelSpec(family=payload["family"], sigma=_numbers(payload, "sigma", 0).item(),
-                      degree=degree, offset=_numbers(payload, "offset", 0).item())
-
-
 def _component_payload(comp: l1.ComponentModel) -> dict:
     return {"sign_vector": [int(x) for x in comp.sign_vector],
             "objective": comp.objective,
@@ -237,13 +228,19 @@ def read_model(path: str):
     whose lengths disagree with each other or with the stored training rows,
     a sign-vector entry other than -1 / +1, an objective that is not
     positive, a training column std that is not positive, or a negative
-    eigenvalue. The kernel spec's sigma, degree and offset (whatever the
-    family) and every number scoring reads (training values, column means
+    eigenvalue. Every number scoring reads (training values, column means
     and stds; sign vectors, objectives and training scores; eigenvalues and
-    eigenvectors) must be finite JSON numbers: a string, boolean or null in
-    their place, a ragged list, NaN or infinity is a mistyped field, and so
-    is a degree that is not a whole number. Training labels and the
-    convergence reports are not checked this way: scoring never reads them.
+    eigenvectors) must be a finite JSON number: a string, boolean or null in
+    its place, a ragged list, NaN or infinity is a mistyped field. Training
+    labels and the convergence reports are not checked this way: scoring
+    never reads them.
+
+    The kernel spec is every value KernelSpec takes, and each one it
+    refuses is a SchemaError here: an unknown family; a sigma, degree or
+    offset (whatever the family) that is not a finite number or is a
+    boolean; a degree that is not a whole number of size at most 2**53; a
+    gaussian sigma that is not positive; a polynomial degree below 1 or a
+    negative polynomial offset.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -262,7 +259,8 @@ def read_model(path: str):
         return _model_from(payload)
     except KeyError as exc:
         raise SchemaError(f"model file lacks field {exc.args[0]!r}") from None
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+    # InvalidData: a value a model type refuses, such as KernelSpec's field rules.
+    except (AttributeError, InvalidData, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from None
 
 
@@ -271,7 +269,9 @@ def _model_from(payload: dict):
     if kind not in ("l1", "l2"):
         raise SchemaError(f"unknown model kind {kind!r}")
     train = _dataset_from(payload["train"]) if "train" in payload else None
-    spec = _spec_from(payload["spec"])
+    spec_payload = payload["spec"]
+    spec = KernelSpec(family=spec_payload["family"], sigma=spec_payload["sigma"],
+                      degree=spec_payload["degree"], offset=spec_payload["offset"])
     if kind == "l1":
         components = [l1.ComponentModel(sign_vector=_numbers(cp, "sign_vector", 1),
                                         objective=_numbers(cp, "objective", 0).item(),

@@ -220,14 +220,14 @@ def test_criterion_08_l2_baseline_correctness():
 
 def test_criterion_09_robustness_direction():
     t0 = time.perf_counter()
-    rows = robustness_sweep([10.0, 15.0, 20.0, 25.0, 30.0], [KernelSpec("linear")],
+    rows = robustness_sweep([10.0, 15.0, 20.0, 25.0, 30.0], KernelSpec("linear"),
                             cfg=SynthConfig(n=200, d=20, rank=5, seed=0),
                             p=4, n_seeds=10)
     elapsed = time.perf_counter() - t0
     lines = []
     for row in rows:
-        assert row.tev_l1 > row.tev_l2, f"direction violated at r={row.r_percent}"
-        lines.append(f"r={row.r_percent:.0f}: L1={row.tev_l1:.2f} L2={row.tev_l2:.2f}")
+        assert row["tev_l1"] > row["tev_l2"], f"direction violated at r={row['r_percent']}"
+        lines.append(f"r={row['r_percent']:.0f}: L1={row['tev_l1']:.2f} L2={row['tev_l2']:.2f}")
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 9 PASS: L1 explained variation exceeds L2 at every r "
           f"({'; '.join(lines)}; {elapsed:.1f}s)")

@@ -297,6 +297,33 @@ def test_transform_rejects_malformed_model_file_with_schema_error(tmp_path, caps
     assert len(err.splitlines()) == 1 and err.startswith("l1kpca: ")
 
 
+@pytest.mark.parametrize("kernel_flags, field, value, message", [
+    (("--kernel", "gaussian"), "sigma", -1, "gaussian width must be positive, got -1"),
+    (("--kernel", "gaussian"), "sigma", 0, "gaussian width must be positive, got 0"),
+    (("--kernel", "poly"), "offset", -1, "polynomial offset must be non-negative, got -1"),
+    (("--kernel", "poly"), "degree", 0, "polynomial degree must be a positive integer, got 0"),
+    ((), "family", "mystery", "unknown kernel family 'mystery'"),
+], ids=["gaussian-sigma-negative", "gaussian-sigma-zero", "poly-offset-negative",
+        "poly-degree-zero", "unknown-family"])
+def test_transform_refuses_a_model_spec_that_kernel_spec_refuses(tmp_path, capsys, kernel_flags,
+                                                                 field, value, message):
+    from l1kpca import SchemaError, read_model
+    noisy, normal = make_synth_files(tmp_path, capsys)
+    model_path = tmp_path / "model.json"
+    code, _, _ = run_cli(capsys, "fit", "--data", str(noisy), "--label-column", "4",
+                         *kernel_flags, "--components", "2", "--model", str(model_path))
+    assert code == 0
+    payload = json.loads(model_path.read_text())
+    payload["spec"][field] = value
+    model_path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError):
+        read_model(str(model_path))
+    code, out, err = run_cli(capsys, "transform", "--model", str(model_path),
+                             "--data", str(normal))
+    assert (code, out) == (3, "")
+    assert err == f"l1kpca: malformed model file: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["fit", "fit-l2", "detect"])
 def test_negative_polynomial_offset_is_a_data_error(tmp_path, capsys, command):
     noisy, _ = make_synth_files(tmp_path, capsys)
@@ -375,7 +402,9 @@ def test_robustness_refuses_n_over_the_gram_cap_before_any_product(monkeypatch, 
     (("--grid", "5,abc"), "--grid '5,abc' is not a comma-separated list of numbers"),
     (("--seeds", "0"), "seed count 0 must be at least 1"),
     (("--seeds", "-2"), "seed count -2 must be at least 1"),
-], ids=["non-numeric-grid", "zero-seeds", "negative-seeds"])
+    (("--grid", ""), "the r grid must hold at least one value"),
+    (("--grid", ","), "the r grid must hold at least one value"),
+], ids=["non-numeric-grid", "zero-seeds", "negative-seeds", "empty-grid", "comma-only-grid"])
 def test_robustness_rejects_bad_grid_or_seed_count_with_data_error(capsys, flags, message):
     for fmt in ("json", "csv"):
         code, out, err = run_cli(capsys, "robustness", *flags, "--n", "24", "--d", "4",
@@ -483,6 +512,32 @@ def test_jsonl_output_format(tmp_path, capsys):
         for row, line in zip(rows, csv_lines[1:]):
             assert list(row) == keys
             assert [str(v) for v in row.values()] == line.split(",")
+
+
+@pytest.mark.parametrize("threshold", [None, "5"], ids=["no-threshold", "threshold"])
+def test_detect_table_formats_carry_the_flags_of_a_threshold(tmp_path, capsys, threshold):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=60, d=6)
+    flags = ("--data", str(noisy), "--label-column", "6")
+    if threshold is not None:
+        flags += ("--threshold", threshold)
+    outputs = {}
+    for fmt in ("json", "csv", "jsonl"):
+        code, outputs[fmt], _ = run_cli(capsys, "detect", *flags, "--format", fmt)
+        assert code == 0
+    payload = json.loads(outputs["json"])
+    header, *csv_rows = outputs["csv"].strip().splitlines()[1:]
+    jsonl_rows = [json.loads(line) for line in outputs["jsonl"].strip().splitlines()[1:]]
+    assert len(csv_rows) == len(jsonl_rows) == len(payload["scores"]) == 60
+    if threshold is None:
+        assert "flags" not in payload
+        assert header == "sample,score"
+        assert all(list(row) == ["sample", "score"] for row in jsonl_rows)
+        return
+    assert header == "sample,score,flag"
+    assert 0 < sum(payload["flags"]) < 60
+    assert [int(line.split(",")[2]) for line in csv_rows] == payload["flags"]
+    assert [row["flag"] for row in jsonl_rows] == payload["flags"]
+    assert [row["score"] for row in jsonl_rows] == payload["scores"]
 
 
 def test_output_to_file(tmp_path, capsys):

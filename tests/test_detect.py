@@ -155,6 +155,12 @@ def test_pr_auc_invariant_under_increasing_transform():
     assert pr_auc(scores**3 + 7, labels).auc == pytest.approx(base, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pr_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(InvalidData, match="^scores must be finite numbers$"):
+        pr_auc([1.0, bad, 0.5], [1, 0, 1])
+
+
 def test_pr_auc_requires_positives():
     with pytest.raises(InvalidData):
         pr_auc([1.0, 2.0], [0, 0])

@@ -202,24 +202,35 @@ def test_tev_denominator_refuses_like_gram_and_l2_fit():
 
 def test_sweep_single_cell_is_deterministic():
     cfg = SynthConfig(n=40, d=5, rank=2, seed=11)
-    first = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=2)
-    second = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=2)
+    first = robustness_sweep([10.0], KernelSpec("linear"), cfg=cfg, p=2, n_seeds=2)
+    second = robustness_sweep([10.0], KernelSpec("linear"), cfg=cfg, p=2, n_seeds=2)
     assert len(first) == 1
-    assert first[0].to_dict() == second[0].to_dict()
-    assert 0.0 <= first[0].tev_l1 <= 100.0 + 1e-6
+    assert first[0] == second[0]
+    assert 0.0 <= first[0]["tev_l1"] <= 100.0 + 1e-6
+
+
+def test_sweep_rows_are_plain_dicts_with_the_cell_keys_in_order():
+    cfg = SynthConfig(n=24, d=4, rank=2, seed=5)
+    spec = KernelSpec("gaussian", sigma=4.0)
+    row, = robustness_sweep([10.0], spec, cfg=cfg, p=2, n_seeds=2, starts=4)
+    assert type(row) is dict
+    assert list(row) == ["r_percent", "kernel", "tev_l1", "tev_l2", "p", "seeds", "noise_scale"]
+    assert (row["r_percent"], row["kernel"], row["p"], row["noise_scale"]) == \
+        (10.0, spec.to_dict(), 2, cfg.noise_scale)
 
 
 def test_sweep_rows_are_cells_seeded_by_grid_position():
     cfg = SynthConfig(n=24, d=4, rank=2, seed=5)
-    specs = [KernelSpec("linear"), KernelSpec("gaussian", sigma=4.0)]
     r_values = [5.0, 10.0, 20.0]
-    rows = robustness_sweep(r_values, specs, cfg=cfg, p=2, n_seeds=2, starts=4)
-    grid = [(r, spec) for spec in specs for r in r_values]
-    assert len(rows) == len(grid)
-    for idx, ((r, spec), row) in enumerate(zip(grid, rows)):
-        seeds = [int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31)) for k in range(2)]
-        assert row.seeds == seeds
-        assert row.to_dict() == _sweep_cell(r, spec, cfg, 2, seeds, 4).to_dict()
+    # One sweep per kernel; a cell's seeds depend on its grid position only.
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=4.0)):
+        rows = robustness_sweep(r_values, spec, cfg=cfg, p=2, n_seeds=2, starts=4)
+        assert len(rows) == len(r_values)
+        for idx, (r, row) in enumerate(zip(r_values, rows)):
+            seeds = [int(np.random.default_rng([cfg.seed, idx, k]).integers(2**31))
+                     for k in range(2)]
+            assert row["seeds"] == seeds
+            assert row == _sweep_cell(r, spec, cfg, 2, seeds, 4)
 
 
 def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
@@ -236,7 +247,7 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
 
     for name in ("l2_fit", "top_eigenvalues"):
         monkeypatch.setattr(l2, name, counting(name))
-    row = robustness_sweep([10.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=3)[0]
+    row = robustness_sweep([10.0], KernelSpec("linear"), cfg=cfg, p=2, n_seeds=3)[0]
     monkeypatch.undo()
     # Per seed: one eigenvector solve for the L2 model and one eigenvalue-only
     # solve for the denominator both solvers share.
@@ -245,15 +256,15 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
     # The same values as scoring each model with the public function.
     spec = KernelSpec("linear")
     tev1, tev2 = [], []
-    for seed in row.seeds:
+    for seed in row["seeds"]:
         noisy, normal, _ = synth_generate(replace(cfg, r_percent=10.0, seed=seed))
         K_noisy, K_normal = gram(spec, noisy), gram(spec, normal)
         cross = cross_gram(spec, noisy, normal)
         tev1.append(total_explained_variation(
             K_normal, fit(K_noisy, 2, FitOptions(seed=seed)), cross, 2))
         tev2.append(total_explained_variation(K_normal, l2_fit(K_noisy, 2), cross, 2))
-    assert row.tev_l1 == float(np.mean(tev1))
-    assert row.tev_l2 == float(np.mean(tev2))
+    assert row["tev_l1"] == float(np.mean(tev1))
+    assert row["tev_l2"] == float(np.mean(tev2))
 
 
 @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("gaussian", sigma=5.0),
@@ -271,22 +282,28 @@ def test_sweep_cell_tevs_match_a_sweep_on_gram(monkeypatch, spec):
     for cell, reference in zip(cells, references):
         for key in ("tev_l1", "tev_l2"):
             if spec.family == "gaussian":
-                assert getattr(cell, key) == pytest.approx(getattr(reference, key), rel=1e-12, abs=0)
+                assert cell[key] == pytest.approx(reference[key], rel=1e-12, abs=0)
             else:
-                assert getattr(cell, key) == getattr(reference, key)
+                assert cell[key] == reference[key]
 
 
 @pytest.mark.parametrize("n_seeds", [0, -2])
 def test_sweep_rejects_seed_count_below_one(n_seeds):
     with pytest.raises(InvalidData, match=f"seed count {n_seeds} must be at least 1"):
-        robustness_sweep([10.0], [KernelSpec("linear")], n_seeds=n_seeds)
+        robustness_sweep([10.0], KernelSpec("linear"), n_seeds=n_seeds)
 
 
 def test_sweep_rows_cover_grid_in_order():
     cfg = SynthConfig(n=30, d=4, rank=2, seed=12)
-    rows = robustness_sweep([5.0, 25.0], [KernelSpec("linear")], cfg=cfg, p=2, n_seeds=1)
-    assert [row.r_percent for row in rows] == [5.0, 25.0]
-    assert all(row.noise_scale == cfg.noise_scale for row in rows)
+    rows = robustness_sweep([5.0, 25.0], KernelSpec("linear"), cfg=cfg, p=2, n_seeds=1)
+    assert [row["r_percent"] for row in rows] == [5.0, 25.0]
+    assert all(row["noise_scale"] == cfg.noise_scale for row in rows)
+
+
+@pytest.mark.parametrize("r_values", [[], ()], ids=["list", "tuple"])
+def test_sweep_rejects_an_empty_grid(r_values):
+    with pytest.raises(InvalidData, match="^the r grid must hold at least one value$"):
+        robustness_sweep(r_values, KernelSpec("linear"), n_seeds=1)
 
 
 # -------------------------------------------------------------------- bench

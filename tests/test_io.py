@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -214,6 +215,47 @@ def test_every_accepted_kernel_spec_round_trips_through_a_model_file(tmp_path, f
         [type(getattr(spec, f)) for f in ("sigma", "degree", "offset")] == [float, int, float]
     write_model(loaded, str(second))
     assert second.read_bytes() == first.read_bytes()
+
+
+# Values KernelSpec refuses by a family's rule, and a family it does not know.
+SPEC_VALUES_REFUSED_BY_FAMILY = [("gaussian", "sigma", 0), ("gaussian", "sigma", -1.0),
+                                 ("polynomial", "offset", -1), ("polynomial", "degree", 0),
+                                 ("linear", "family", "mystery")]
+
+
+def _model_file_with_spec_value(tmp_path, family, field, value):
+    """A model file of the family's default spec whose spec field was rewritten
+    to value as the JSON reader returns it (numpy scalars become plain numbers)."""
+    data, _ = make_instance(5, n=10, d=3)
+    path = tmp_path / "model.json"
+    write_model(l2_fit(gram(KernelSpec(family), data), 2), str(path))
+    payload = json.loads(path.read_text())
+    payload["spec"][field] = value.item() if isinstance(value, np.generic) else value
+    path.write_text(json.dumps(payload))
+    return path, json.loads(path.read_text())["spec"][field]
+
+
+@pytest.mark.parametrize("family, field, value, kept", [
+    *[(fam, f, v, True) for fam in KERNEL_FAMILIES for f, v in SPEC_VALUES_KEPT],
+    *[(fam, f, v, True) for fam in ("linear", "gaussian") for f, v in SPEC_VALUES_KEPT_OFF_POLYNOMIAL],
+    *[(fam, f, v, False) for fam in KERNEL_FAMILIES for f, v in SPEC_VALUES_REFUSED],
+    *[(fam, f, v, False) for fam, f, v in SPEC_VALUES_REFUSED_BY_FAMILY]])
+def test_model_file_spec_values_follow_kernel_spec(tmp_path, family, field, value, kept):
+    # read_model hands the file's raw spec values to KernelSpec: what it keeps
+    # loads unchanged, and what it refuses is a SchemaError with its message.
+    path, written = _model_file_with_spec_value(tmp_path, family, field, value)
+    fields = {"family": family, field: written}  # field may be the family itself
+    if not kept:
+        with pytest.raises(InvalidData) as refused:
+            KernelSpec(**fields)
+        message = re.escape(str(refused.value))
+        with pytest.raises(SchemaError, match=f"^malformed model file: {message}$"):
+            read_model(str(path))
+        return
+    loaded = read_model(str(path))
+    assert loaded.spec == KernelSpec(**fields) == KernelSpec(family, **{field: value})
+    assert [type(getattr(loaded.spec, f)) for f in ("sigma", "degree", "offset")] == \
+        [float, int, float]
 
 
 def test_write_model_refuses_detection_model(tmp_path):
