@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with a constant column, exits 4)")
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
     p.add_argument("--threshold", type=float, default=None,
-                   help="also emit 0/1 flags at this score threshold")
+                   help="also emit 0/1 flags at this finite score threshold (NaN or inf exits 3)")
 
     p = add_parser("synth", help="generate a corrupted low-rank dataset")
     p.add_argument("--n", type=int, default=200)

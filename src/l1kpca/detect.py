@@ -69,7 +69,13 @@ def _retained_indices(variances: np.ndarray, alpha: float) -> list[int]:
 
 
 def classify(scores, threshold: float) -> np.ndarray:
-    """1 where the outlier score strictly exceeds the threshold, else 0."""
+    """1 where the outlier score strictly exceeds the threshold, else 0.
+
+    A NaN or infinite threshold raises InvalidData: no score exceeds NaN
+    or +inf, and every finite score exceeds -inf, so none of them is a rule.
+    """
+    if not np.isfinite(threshold):
+        raise InvalidData(f"threshold must be a finite number, got {threshold}")
     scores = np.asarray(scores, dtype=float)
     return (scores > threshold).astype(int)
 
@@ -79,15 +85,19 @@ def pr_auc(scores, labels) -> PRCurve:
 
     Thresholds sweep the distinct score values; tied scores are processed
     as a single step. Each point is (recall, precision) of the rule
-    "flag everything scoring >= that value". A NaN or infinite score
-    raises InvalidData.
+    "flag everything scoring >= that value". A NaN or infinite score, or
+    a label other than 0 and 1, raises InvalidData.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InvalidData(f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}")
     if not np.all(np.isfinite(scores)):
         raise InvalidData("scores must be finite numbers")
+    # Checked before the integer cast, which would turn 0.5 into 0.
+    if not np.all((labels == 0) | (labels == 1)):
+        raise InvalidData("labels must be 0 or 1")
+    labels = labels.astype(int)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise InvalidData("labels contain no positives")

@@ -29,6 +29,7 @@ passes; the constant MAX_ITER caps the pass count only as a fault guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,44 +169,68 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray,
     recorded objective c'Kc, report) record per column; a column without
     a fixed point after MAX_ITER passes has terminated_by="max_iter" and
     objective NaN.
+
+    Each pass copies the active columns of C and V = KC into arrays with
+    one C-contiguous row per column and does the elementwise work for all
+    of them at once: |Kc| and its row sums (the same pairwise sums as one
+    column's np.abs(v).sum()), the zero-band mask and its hits, the next
+    sign vectors, the flipped entries, split by row from one flat index,
+    and their patch deltas 2 c_next, which equal c_next - c exactly. Per
+    column stay only the BLAS calls whose rounding reaches the output: the
+    objective c'Kc, a strided ddot whose bits pick the winner among starts
+    and so decide between c and -c when two starts tie; the patch gemv;
+    and the shared recompute gemm. The first two go through ndarray.dot,
+    the same BLAS calls as @ with less call overhead.
     """
     n, m = C0.shape
     C = C0.copy()
     V = K @ C  # V[:, j] tracks K @ C[:, j] across passes
+    # C and V are only ever written in place, so their column views stay valid.
+    c_cols, v_cols = list(C.T), list(V.T)
+    row_ends = n * np.arange(1, m + 1)  # flat index where each row of a pass ends
     active = list(range(m))
     # Per-column fixed point: (iterations, objective), or None.
     out: list[tuple[int, float] | None] = [None] * m
     traces: list[list[float]] = [[] for _ in range(m)]
     rates: list[list[float]] = [[] for _ in range(m)]
-    band_hits = np.zeros(m, dtype=int)
+    band_hits = [0] * m
     incr_cutoff = max(1, n // 8)
 
     for k in range(MAX_ITER):
-        still, recompute = [], []
-        for col in active:
-            c = C[:, col]
-            v = V[:, col]
-            abs_v = np.abs(v)
-            s = float(c @ v)
-            denom = float(abs_v.sum())
-            traces[col].append(float(np.sqrt(max(s, 0.0)) / denom) if denom > 0 else 0.0)
-            rates[col].append(s / denom if denom > 0 else 0.0)
-            in_band = abs_v <= tol_zero
-            band_hits[col] += int(in_band.sum())
-            c_next = np.where(in_band, c, np.sign(v))
-            flipped = np.flatnonzero(c_next != c)
+        cols = np.array(active)
+        CT, VT = C.T[cols], V.T[cols]
+        abs_v = np.abs(VT)
+        in_band = abs_v <= tol_zero
+        C_next = np.sign(VT)
+        hits = [0] * len(active)
+        # Band entries are rare; without one the mask steps are skipped.
+        if np.count_nonzero(in_band):
+            np.copyto(C_next, CT, where=in_band)
+            hits = in_band.sum(axis=1).tolist()
+        flat = (C_next != CT).ravel().nonzero()[0]
+        flipped = flat % n
+        deltas = 2.0 * C_next.take(flat)
+        ends = np.searchsorted(flat, row_ends[:len(active)]).tolist()
 
-            if flipped.size == 0:
+        still, recompute, a = [], [], 0
+        for col, denom, h, b in zip(active, np.add.reduce(abs_v, axis=1).tolist(), hits, ends):
+            s = float(c_cols[col].dot(v_cols[col]))
+            traces[col].append(math.sqrt(max(s, 0.0)) / denom if denom > 0 else 0.0)
+            rates[col].append(s / denom if denom > 0 else 0.0)
+            band_hits[col] += h
+            if a == b:
                 out[col] = (k + 1, s)
                 continue
-            if flipped.size <= incr_cutoff:
+            if b - a <= incr_cutoff:
                 # K is exactly symmetric: gather contiguous rows, not strided columns.
-                V[:, col] = v + (c_next[flipped] - c[flipped]) @ K[flipped]
+                v_cols[col] += deltas[a:b].dot(K.take(flipped[a:b], axis=0))
             else:
                 recompute.append(col)
-            C[:, col] = c_next
             still.append(col)
+            a = b
 
+        # A column that flipped nothing gets its own signs back.
+        C.T[cols] = C_next
         if recompute:
             V[:, recompute] = K @ C[:, recompute]
         active = still
@@ -222,7 +247,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray,
             terminated_by="sign_fixed" if out[col] else "max_iter",
             rate_estimates=rates[col],
             lagrange_multiplier=1.0 / (2.0 * norm) if norm > 0 else np.nan,
-            zero_band_hits=int(band_hits[col]))
+            zero_band_hits=band_hits[col])
         records.append((C[:, col].copy(), objective, report))
     return records
 

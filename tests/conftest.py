@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from l1kpca import Dataset, GramMatrix, KernelSpec, deflate, gram, standardize
-from l1kpca.l1 import _quadratic_form, _zero_band, validate_sign_vector
+from l1kpca import l1
+from l1kpca.l1 import ConvergenceReport, _quadratic_form, _zero_band, validate_sign_vector
 
 
 def instance_rows(seed, n, d):
@@ -47,6 +48,73 @@ def train_scores(gram_matrix, c):
     c = validate_sign_vector(c, K.shape[0])
     v, s = _quadratic_form(K, c, _zero_band(K), "objective {:.3e} is numerically zero")
     return v / np.sqrt(s)
+
+
+def iterate_batch_reference(K, C0, tol_zero, paths=None):
+    """Column-at-a-time reference of l1._iterate_batch, record for record.
+
+    Each pass visits the active columns in order and works on one column
+    at a time: |Kc|, the objective c'Kc, the norm and rate entries, the
+    zero band and the flips, then either a row patch of Kc or a place in
+    the pass's shared recompute. Reads l1.MAX_ITER at call time. A
+    collections.Counter passed as paths counts the "patch" and
+    "recompute" column-passes.
+    """
+    n, m = C0.shape
+    C = C0.copy()
+    V = K @ C
+    active = list(range(m))
+    out = [None] * m
+    traces = [[] for _ in range(m)]
+    rates = [[] for _ in range(m)]
+    band_hits = np.zeros(m, dtype=int)
+    incr_cutoff = max(1, n // 8)
+
+    for k in range(l1.MAX_ITER):
+        still, recompute = [], []
+        for col in active:
+            c = C[:, col]
+            v = V[:, col]
+            abs_v = np.abs(v)
+            s = float(c @ v)
+            denom = float(abs_v.sum())
+            traces[col].append(float(np.sqrt(max(s, 0.0)) / denom) if denom > 0 else 0.0)
+            rates[col].append(s / denom if denom > 0 else 0.0)
+            in_band = abs_v <= tol_zero
+            band_hits[col] += int(in_band.sum())
+            c_next = np.where(in_band, c, np.sign(v))
+            flipped = np.flatnonzero(c_next != c)
+
+            if flipped.size == 0:
+                out[col] = (k + 1, s)
+                continue
+            if flipped.size <= incr_cutoff:
+                V[:, col] = v + (c_next[flipped] - c[flipped]) @ K[flipped]
+            else:
+                recompute.append(col)
+            if paths is not None:
+                paths["patch" if flipped.size <= incr_cutoff else "recompute"] += 1
+            C[:, col] = c_next
+            still.append(col)
+
+        if recompute:
+            V[:, recompute] = K @ C[:, recompute]
+        active = still
+        if not active:
+            break
+
+    records = []
+    for col in range(m):
+        iterations, objective = out[col] or (l1.MAX_ITER, np.nan)
+        norm = traces[col][-1] if out[col] else 0.0
+        report = ConvergenceReport(
+            iterations=iterations, norm_trace=traces[col],
+            terminated_by="sign_fixed" if out[col] else "max_iter",
+            rate_estimates=rates[col],
+            lagrange_multiplier=1.0 / (2.0 * norm) if norm > 0 else np.nan,
+            zero_band_hits=int(band_hits[col]))
+        records.append((C[:, col].copy(), objective, report))
+    return records
 
 
 def deflation_chain(K, model):

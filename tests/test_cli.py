@@ -540,6 +540,17 @@ def test_detect_table_formats_carry_the_flags_of_a_threshold(tmp_path, capsys, t
     assert [row["score"] for row in jsonl_rows] == payload["scores"]
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_detect_refuses_a_non_finite_threshold_with_empty_stdout(tmp_path, capsys, threshold):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=30)
+    # The = form, since argparse reads a bare -inf as an option.
+    code, out, err = run_cli(capsys, "detect", "--data", str(noisy), "--label-column", "4",
+                             f"--threshold={threshold}")
+    assert code == 3
+    assert out == ""
+    assert err == f"l1kpca: threshold must be a finite number, got {float(threshold)}\n"
+
+
 def test_output_to_file(tmp_path, capsys):
     noisy, _ = make_synth_files(tmp_path, capsys, n=12)
     out_path = tmp_path / "out.json"

@@ -114,11 +114,18 @@ def test_classify_threshold_extremes():
 def test_classify_monotone_in_threshold():
     rng = np.random.default_rng(2)
     s = rng.uniform(0, 10, 30)
-    prev = classify(s, -np.inf)
+    prev = np.ones(s.size, dtype=int)
     for thr in np.sort(s):
         cur = classify(s, thr)
         assert np.all(cur <= prev)
         prev = cur
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_refuses_a_non_finite_threshold(bad):
+    # No score exceeds NaN or +inf and every one exceeds -inf: none is a rule.
+    with pytest.raises(InvalidData, match=f"^threshold must be a finite number, got {bad}$"):
+        classify(np.array([3.0, 17.0]), bad)
 
 
 # ---------------------------------------------------------------------- pr_auc
@@ -159,6 +166,19 @@ def test_pr_auc_invariant_under_increasing_transform():
 def test_pr_auc_rejects_non_finite_scores(bad):
     with pytest.raises(InvalidData, match="^scores must be finite numbers$"):
         pr_auc([1.0, bad, 0.5], [1, 0, 1])
+
+
+@pytest.mark.parametrize("labels", [[2, 0, 1], [0.5, 1, 1], [-1, 1, 1], [np.nan, 1, 0]])
+def test_pr_auc_refuses_labels_other_than_0_and_1(labels):
+    # Unchecked, [2, 0, 1] gave an AUC of 1.667 and [0.5, 1, 1] was cast to [0, 1, 1].
+    with pytest.raises(InvalidData, match="^labels must be 0 or 1$"):
+        pr_auc([1.0, 0.5, 0.2], labels)
+
+
+def test_pr_auc_takes_float_and_boolean_labels_of_0_and_1():
+    expected = pr_auc([1.0, 0.5, 0.2], [1, 0, 1]).auc
+    assert pr_auc([1.0, 0.5, 0.2], [1.0, 0.0, 1.0]).auc == expected
+    assert pr_auc([1.0, 0.5, 0.2], [True, False, True]).auc == expected
 
 
 def test_pr_auc_requires_positives():

@@ -1,21 +1,23 @@
+import collections
 import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (deflation_chain, instance_rows, make_instance, raw_dataset, raw_gram,
-                      sign_update, train_scores)
+from conftest import (deflation_chain, instance_rows, iterate_batch_reference, make_instance,
+                      raw_dataset, raw_gram, sign_update, train_scores)
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
                     gram, l2_fit, standardize, standardize_with, transform)
 from l1kpca import kernel, l1
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
-                       random_starts, validate_sign_vector)
+                       _iterate_batch, _zero_band, random_starts, validate_sign_vector)
 from l1kpca.l2 import EigenModel
 
 
@@ -122,6 +124,75 @@ def test_fit_component_nonconvergence_carries_report(monkeypatch):
     assert info.value.report.terminated_by == "max_iter"
     assert info.value.report.iterations == 1
     assert len(info.value.report.norm_trace) == 1
+
+
+# ------------------------------------------------------------- _iterate_batch
+
+def bits(x):
+    """The float64 bytes of a number or list, so that NaN equals NaN and -0.0 differs from 0.0."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_records_identical(got, want):
+    assert len(got) == len(want)
+    for (c, objective, report), (c_ref, objective_ref, report_ref) in zip(got, want):
+        assert bits(c) == bits(c_ref)
+        assert bits(objective) == bits(objective_ref)
+        assert report.iterations == report_ref.iterations
+        assert report.terminated_by == report_ref.terminated_by
+        assert bits(report.norm_trace) == bits(report_ref.norm_trace)
+        assert bits(report.rate_estimates) == bits(report_ref.rate_estimates)
+        assert bits(report.lagrange_multiplier) == bits(report_ref.lagrange_multiplier)
+        assert report.zero_band_hits == report_ref.zero_band_hits
+
+
+def batch_instance(family, n, d, dup, width, degree, negated, starts, seed):
+    """A Gram with dup duplicated rows and starts columns: the row-sum start
+    with its first `negated` entries flipped, then seeded random starts."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    dup = min(dup, n // 2)
+    X[:dup] = X[n - dup:]
+    spec = KernelSpec(family, sigma=width * d, degree=degree, offset=1.0)
+    K = gram(spec, kernel.standardize(X)).entries
+    tol_zero = _zero_band(K)
+    c0 = default_start(K, tol_zero)
+    c0[:negated] *= -1.0
+    return K, np.column_stack([c0, random_starts(n, starts - 1, seed)]), tol_zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]),
+       n=st.integers(2, 80), d=st.integers(1, 6), dup=st.integers(0, 40),
+       width=st.sampled_from([0.5, 5.0, 50.0]), degree=st.integers(1, 3),
+       negated=st.integers(0, 80), starts=st.sampled_from([1, 3, 8]),
+       capped=st.booleans(), seed=st.integers(0, 2**16))
+def test_iterate_batch_matches_the_column_at_a_time_reference_bit_for_bit(
+        family, n, d, dup, width, degree, negated, starts, capped, seed):
+    K, C0, tol_zero = batch_instance(family, n, d, dup, width, degree, negated, starts, seed)
+    # A cap of one pass leaves every column that is not yet fixed with a max_iter record.
+    with mock.patch.object(l1, "MAX_ITER", 1 if capped else l1.MAX_ITER):
+        assert_records_identical(_iterate_batch(K, C0, tol_zero),
+                                 iterate_batch_reference(K, C0, tol_zero))
+
+
+def test_batch_instances_reach_every_path_of_the_iteration():
+    # The instances above take the row patch, the heavy-flip recompute, the
+    # zero band and the pass cap; each is asserted here on a fixed instance.
+    paths = collections.Counter()
+    K, C0, tol_zero = batch_instance("polynomial", 60, 4, 10, 1.0, 2, 30, 8, seed=5)
+    records = iterate_batch_reference(K, C0, tol_zero, paths)
+    assert paths["patch"] > 0 and paths["recompute"] > 0
+    assert_records_identical(_iterate_batch(K, C0, tol_zero), records)
+    # Standardized linear data: the row-sum start is all ones and K @ 1 is zero.
+    K, C0, tol_zero = batch_instance("linear", 30, 3, 0, 1.0, 1, 0, 3, seed=2)
+    records = iterate_batch_reference(K, C0, tol_zero)
+    assert records[0][2].zero_band_hits == 30
+    assert_records_identical(_iterate_batch(K, C0, tol_zero), records)
+    with mock.patch.object(l1, "MAX_ITER", 1):
+        records = iterate_batch_reference(K, C0, tol_zero)
+        assert [r.terminated_by for _, _, r in records].count("max_iter") > 0
+        assert_records_identical(_iterate_batch(K, C0, tol_zero), records)
 
 
 # ------------------------------------------------------------------- deflate
