@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "with a constant column, exits 4)")
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
     p.add_argument("--threshold", type=float, default=None,
-                   help="also emit 0/1 flags at this finite score threshold (NaN or inf exits 3)")
+                   help="also emit 0/1 flags at this finite score threshold (NaN or inf "
+                        "exits 3); a bare -inf or -1e-3 reads as an option, so write "
+                        "such a value as --threshold=-inf")
 
     p = add_parser("synth", help="generate a corrupted low-rank dataset")
     p.add_argument("--n", type=int, default=200)
@@ -211,6 +213,9 @@ def _cmd_transform(args) -> None:
 
 
 def _cmd_detect(args) -> None:
+    # Checked before the data is read, so a refused threshold costs no fit.
+    if args.threshold is not None:
+        detect._check_threshold(args.threshold)
     K = _gram(args)
     data = K.data
     # Standardized data has rank at most n - 1 under the linear kernel.

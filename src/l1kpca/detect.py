@@ -68,14 +68,19 @@ def _retained_indices(variances: np.ndarray, alpha: float) -> list[int]:
     return [int(j) for j in np.flatnonzero((variances >= alpha) & (variances > floor))]
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise InvalidData unless threshold is finite: classify's refusal."""
+    if not np.isfinite(threshold):
+        raise InvalidData(f"threshold must be a finite number, got {threshold}")
+
+
 def classify(scores, threshold: float) -> np.ndarray:
     """1 where the outlier score strictly exceeds the threshold, else 0.
 
     A NaN or infinite threshold raises InvalidData: no score exceeds NaN
     or +inf, and every finite score exceeds -inf, so none of them is a rule.
     """
-    if not np.isfinite(threshold):
-        raise InvalidData(f"threshold must be a finite number, got {threshold}")
+    _check_threshold(threshold)
     scores = np.asarray(scores, dtype=float)
     return (scores > threshold).astype(int)
 

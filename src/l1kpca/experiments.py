@@ -13,11 +13,27 @@ the noisy dataset, divided by the maximum any p orthonormal directions
 could capture (the top-p eigenvalue sum of the normal kernel matrix).
 That denominator comes from an eigenvalue-only solve.
 
-Each sweep instance evaluates every kernel matrix it needs (the noisy Gram
-it fits, the cross-Gram it scores, the normal kernel matrix of the
-denominator) as one product, so gaussian entries match gram's within
-rounding, not bit for bit. A TEV is invariant under a component's sign,
-so it cannot see the +c / -c ties those bits settle.
+Each sweep instance fits both solvers on the noisy Gram, evaluated as one
+product. Its bits decide the L1 fixed points, so the fits stay on it
+whichever way the TEVs are evaluated; the kernel family picks that way.
+
+- Gaussian and polynomial: from kernel matrices. The cross-Gram is scored
+  by each model's map, and the denominator comes from the normal kernel
+  matrix. Both are one product too, so gaussian entries match gram's
+  within rounding, not bit for bit. A TEV is invariant under a
+  component's sign, so it cannot see the +c / -c ties those bits settle.
+- Linear: from the data matrices, Kwak's input space. With X the n x d
+  noisy rows and Q the m x d normal rows, the Gram is XX' and the
+  cross-Gram QX'. The L1 scores are Q (X'W) for the model's map W. The L2
+  scores are Q V for the top-p unit eigenvectors V of X'X: an eigenpair
+  (mu, u) of XX' gives v = X'u / sqrt(mu), so QX'u / sqrt(mu) = Q v. The
+  denominator is the top-p eigenvalue sum of the d x d Q'Q, which shares
+  its nonzero eigenvalues with QQ'; past d the m x m problem's are zero.
+  No n x n eigensolve and no m x m kernel matrix is formed. l2_fit's
+  eigenvalue rule is applied to the covariance X'X and Q'Q, so its zero
+  band is 1e-12 * d, not 1e-12 * n or m, times the largest eigenvalue.
+  The TEVs equal the kernel-matrix ones within rounding, and each refusal
+  is the one the kernel-matrix path raises.
 """
 
 from __future__ import annotations
@@ -98,13 +114,15 @@ def total_explained_variation(normal_gram: GramMatrix, model, cross: np.ndarray,
         raise InvalidData(f"p={p} not in [1, {available}]")
 
     denominator = _capturable_variation(normal_gram.spec, normal_gram.entries, p)
-    return _explained_percent(model, cross, p, denominator)
+    return _explained_percent(model.scores(cross, p), denominator)
 
 
 def _capturable_variation(spec: KernelSpec, normal_matrix: np.ndarray, p: int) -> float:
     """TEV denominator: the top-p eigenvalue sum of the normal kernel matrix.
 
-    The eigenvalues come from l2.top_eigenvalues, which computes no
+    Under the linear kernel normal_matrix may be the d x d Q'Q instead of
+    QQ', with p at most d: the two share their nonzero eigenvalues. The
+    eigenvalues come from l2.top_eigenvalues, which computes no
     eigenvectors and reads the lower triangle only, under l2_fit's rule. A
     non-finite matrix raises the InvalidData that gram raises.
     """
@@ -115,27 +133,52 @@ def _capturable_variation(spec: KernelSpec, normal_matrix: np.ndarray, p: int) -
     return denominator
 
 
-def _explained_percent(model, cross: np.ndarray, p: int, denominator: float) -> float:
-    scores = model.scores(cross, p)
+def _explained_percent(scores: np.ndarray, denominator: float) -> float:
     return 100.0 * float((scores * scores).sum()) / denominator
+
+
+def _linear_l2_scores(spec: KernelSpec, X: np.ndarray, Q: np.ndarray, p: int) -> np.ndarray:
+    """Q V: the L2 scores of rows Q under the linear kernel's top p axes of X.
+
+    V holds the unit eigenvectors of X'X that l2_fit keeps. The n x n
+    problem's eigenvalues past d are zero, so p > d raises the
+    DegenerateComponent that scoring on a zero eigenvalue raises.
+    """
+    model = l2.l2_fit(GramMatrix(entries=X.T @ X, spec=spec), min(p, X.shape[1]))
+    l2._require_positive(np.pad(model.eigenvalues, (0, p - model.n_components)))
+    return Q @ model.coefficient_vectors
 
 
 def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
                 seeds: list[int], starts: int) -> dict:
-    """One sweep row: the mean explained variation of both solvers at r."""
+    """One sweep row: the mean explained variation of both solvers at r.
+
+    Both evaluation paths (see the module docstring) refuse an instance in
+    one order: the denominator, the L1 fit, then the L2 fit and its scores.
+    """
     tev1, tev2 = [], []
     for seed in seeds:
         cell_cfg = replace(cfg, r_percent=r, seed=seed)
         noisy, normal, _ = synth_generate(cell_cfg)
         K_noisy = _gram(spec, noisy)
-        cross = cross_gram(spec, noisy, normal)
+        options = l1.FitOptions(starts=starts, seed=seed)
         # One eigenvalue-only solve per seed, shared by both solvers.
-        denominator = _capturable_variation(spec, cross_gram(spec, normal, normal), p)
-
-        model1 = l1.fit(K_noisy, p, l1.FitOptions(starts=starts, seed=seed))
-        model2 = l2.l2_fit(K_noisy, p)
-        tev1.append(_explained_percent(model1, cross, p, denominator))
-        tev2.append(_explained_percent(model2, cross, p, denominator))
+        if spec.family == "linear":
+            X, Q = noisy.values, normal.values
+            # The count check of the m x m solve, which the d x d one cannot make.
+            l2._require_count(p, Q.shape[0])
+            denominator = _capturable_variation(spec, Q.T @ Q, min(p, X.shape[1]))
+            model1 = l1.fit(K_noisy, p, options)
+            scores1 = Q @ (X.T @ model1.projection(p))
+            scores2 = _linear_l2_scores(spec, X, Q, p)
+        else:
+            cross = cross_gram(spec, noisy, normal)
+            denominator = _capturable_variation(spec, cross_gram(spec, normal, normal), p)
+            model1 = l1.fit(K_noisy, p, options)
+            model2 = l2.l2_fit(K_noisy, p)
+            scores1, scores2 = model1.scores(cross, p), model2.scores(cross, p)
+        tev1.append(_explained_percent(scores1, denominator))
+        tev2.append(_explained_percent(scores2, denominator))
     return {"r_percent": r, "kernel": spec.to_dict(), "tev_l1": float(np.mean(tev1)),
             "tev_l2": float(np.mean(tev2)), "p": p, "seeds": list(seeds),
             "noise_scale": cfg.noise_scale}

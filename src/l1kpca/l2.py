@@ -49,13 +49,24 @@ class EigenModel:
         is not positive (zero or NaN) raises DegenerateComponent.
         """
         mu = self.eigenvalues[:p]
-        if not np.all(mu > 0):
-            raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
+        _require_positive(mu)
         return self.coefficient_vectors[:, :p] / np.sqrt(mu)
 
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
         """Scores of cross-Gram rows on the first p components (default all)."""
         return _project(cross, self.projection(p))
+
+
+def _require_positive(mu: np.ndarray) -> None:
+    """Raise DegenerateComponent unless every eigenvalue in mu is positive (not zero or NaN)."""
+    if not np.all(mu > 0):
+        raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
+
+
+def _require_count(p: int, n: int) -> None:
+    """Raise InvalidData unless 1 <= p <= n, the components an n x n solve has."""
+    if not 1 <= p <= n:
+        raise InvalidData(f"component count {p} not in [1, {n}]")
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -79,9 +90,7 @@ def _eigenvalue_rule(eigvals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
 
 def _solve(eig, K: np.ndarray, p: int):
     """eig(K), np.linalg.eigh or eigvalsh, for the top p; failures as package errors."""
-    n = K.shape[0]
-    if not 1 <= p <= n:
-        raise InvalidData(f"component count {p} not in [1, {n}]")
+    _require_count(p, K.shape[0])
     try:
         return eig(K)
     except np.linalg.LinAlgError as exc:

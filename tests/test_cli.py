@@ -541,14 +541,30 @@ def test_detect_table_formats_carry_the_flags_of_a_threshold(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-def test_detect_refuses_a_non_finite_threshold_with_empty_stdout(tmp_path, capsys, threshold):
+def test_detect_refuses_a_non_finite_threshold_with_empty_stdout(tmp_path, capsys, monkeypatch,
+                                                                 threshold):
     noisy, _ = make_synth_files(tmp_path, capsys, n=30)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("detect fitted a model for a threshold it refuses")
+
+    # Refused before anything is fitted.
+    monkeypatch.setattr(l1, "fit", no_fit)
     # The = form, since argparse reads a bare -inf as an option.
     code, out, err = run_cli(capsys, "detect", "--data", str(noisy), "--label-column", "4",
                              f"--threshold={threshold}")
     assert code == 3
     assert out == ""
     assert err == f"l1kpca: threshold must be a finite number, got {float(threshold)}\n"
+
+
+def test_detect_reads_a_bare_negative_infinity_threshold_as_an_option(tmp_path, capsys):
+    # Documented in --threshold's help: the value is written --threshold=-inf.
+    noisy, _ = make_synth_files(tmp_path, capsys, n=30)
+    with pytest.raises(SystemExit) as usage:
+        main(["detect", "--data", str(noisy), "--label-column", "4", "--threshold", "-inf"])
+    assert usage.value.code == 2
+    assert "--threshold: expected one argument" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import raw_dataset
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
-                    SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
+                    L1KpcaError, SynthConfig, cross_gram, fit, gram, l2_fit, robustness_sweep,
                     runtime_bench, standardize, synth_generate, total_explained_variation)
 from l1kpca import experiments, l2
 from l1kpca.experiments import _capturable_variation, _sweep_cell
@@ -253,7 +253,8 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
     # solve for the denominator both solvers share.
     assert sorted(calls) == ["l2_fit"] * 3 + ["top_eigenvalues"] * 3
 
-    # The same values as scoring each model with the public function.
+    # The same values as scoring each model with the public function, within
+    # rounding: the sweep scores the linear kernel in input space.
     spec = KernelSpec("linear")
     tev1, tev2 = [], []
     for seed in row["seeds"]:
@@ -263,8 +264,8 @@ def test_sweep_cell_shares_one_tev_denominator_per_seed(monkeypatch):
         tev1.append(total_explained_variation(
             K_normal, fit(K_noisy, 2, FitOptions(seed=seed)), cross, 2))
         tev2.append(total_explained_variation(K_normal, l2_fit(K_noisy, 2), cross, 2))
-    assert row["tev_l1"] == float(np.mean(tev1))
-    assert row["tev_l2"] == float(np.mean(tev2))
+    assert row["tev_l1"] == pytest.approx(float(np.mean(tev1)), rel=1e-12, abs=0)
+    assert row["tev_l2"] == pytest.approx(float(np.mean(tev2)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("gaussian", sigma=5.0),
@@ -285,6 +286,71 @@ def test_sweep_cell_tevs_match_a_sweep_on_gram(monkeypatch, spec):
                 assert cell[key] == pytest.approx(reference[key], rel=1e-12, abs=0)
             else:
                 assert cell[key] == reference[key]
+
+
+def _gram_path_tevs(noisy, normal, p, starts, seed):
+    """One linear instance's (tev_l1, tev_l2) from gram() and cross_gram(), the reference."""
+    spec = KernelSpec("linear")
+    K_noisy, K_normal = gram(spec, noisy), gram(spec, normal)
+    cross = cross_gram(spec, noisy, normal)
+    # The sweep's refusal order: the denominator comes before the fits.
+    _capturable_variation(spec, K_normal.entries, p)
+    model1 = fit(K_noisy, p, FitOptions(starts=starts, seed=seed))
+    model2 = l2_fit(K_noisy, p)
+    return (total_explained_variation(K_normal, model1, cross, p),
+            total_explained_variation(K_normal, model2, cross, p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(3, 16), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       duplicate=st.booleans(), constant=st.sampled_from(["none", "all rows", "normal rows"]),
+       data=st.data())
+def test_linear_sweep_cell_in_input_space_matches_the_gram_path(monkeypatch, n, d, seed,
+                                                                 duplicate, constant, data):
+    # Low rank, n < d, a duplicated row or a constant column leave zero
+    # eigenvalues in every Gram, and p runs past d: the sweep's input-space
+    # TEVs and refusals must be the kernel-matrix path's.
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, d), label="rank")
+    raw = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    if duplicate:
+        raw[-1] = raw[0]
+    mask = np.zeros(n, dtype=int)
+    mask[rng.permutation(n)[:data.draw(st.integers(0, n // 4), label="outliers")]] = 1
+    # Kept off a lone column of every row, which leaves nothing to fit.
+    if constant == "normal rows" or (constant == "all rows" and d > 1):
+        raw[mask == 0 if constant == "normal rows" else slice(None), d - 1] = 2.5
+    noisy, normal = standardize(raw, labels=mask), standardize(raw[mask == 0])
+    p = data.draw(st.integers(1, d + 2), label="p")
+
+    def outcome(run):
+        try:
+            return run()
+        except L1KpcaError as exc:
+            return exc
+
+    monkeypatch.setattr(experiments, "synth_generate", lambda cfg: (noisy, normal, mask))
+    row = outcome(lambda: _sweep_cell(10.0, KernelSpec("linear"), SynthConfig(n=n, d=d, rank=1),
+                                      p, [seed], 4))
+    expected = outcome(lambda: _gram_path_tevs(noisy, normal, p, 4, seed))
+    if isinstance(expected, L1KpcaError):
+        assert (type(row), str(row)) == (type(expected), str(expected))
+    else:
+        assert not isinstance(row, L1KpcaError), row
+        assert (row["tev_l1"], row["tev_l2"]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, d, p", [(3, 4, 3), (6, 2, 3)], ids=["past-the-rank", "past-d"])
+def test_linear_l2_scores_refuse_an_axis_past_the_rank_as_l2_fit_does(n, d, p):
+    # In a sweep the L1 fit refuses such a p first; the L2 scores refuse it on their own too.
+    spec = KernelSpec("linear")
+    data = standardize(np.random.default_rng(n).standard_normal((n, d)))
+    with pytest.raises(DegenerateComponent) as from_gram:
+        l2_fit(gram(spec, data), p).scores(cross_gram(spec, data, data), p)
+    with pytest.raises(DegenerateComponent) as refused:
+        experiments._linear_l2_scores(spec, data.values, data.values, p)
+    assert str(refused.value) == str(from_gram.value)
 
 
 @pytest.mark.parametrize("n_seeds", [0, -2])
