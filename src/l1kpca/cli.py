@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default=None)
     p.add_argument("--kernels", default="linear", help="comma-separated kernel families")
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--components", type=int, default=None)
+    p.add_argument("--components", type=int, default=None,
+                   help="components of every fit (default max(1, min(n - 1, d)))")
     p.add_argument("--starts", type=int, default=l1.DEFAULT_STARTS)
 
     p = add_parser("oracle", help="exhaustive optimum vs multi-start solver (n <= 20)")
@@ -218,9 +219,8 @@ def _cmd_detect(args) -> None:
         detect._check_threshold(args.threshold)
     K = _gram(args)
     data = K.data
-    # Standardized data has rank at most n - 1 under the linear kernel.
     p = (args.components if args.components is not None
-         else max(1, min(data.n_samples - 1, data.n_features, 50)))
+         else min(experiments._max_components(data), 50))
     if args.method == "l1":
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed))
     else:

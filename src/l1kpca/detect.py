@@ -20,11 +20,6 @@ import numpy as np
 
 from .errors import DegenerateComponent, InvalidData
 
-# Score variances this far below the largest are never retained, whatever
-# alpha says; they would divide by numerical zeros.
-RELATIVE_VARIANCE_FLOOR = 1e-12
-
-
 @dataclass
 class DetectionModel:
     """Per-component variances, the retention cutoff, and each training sample's outlier score."""
@@ -61,11 +56,6 @@ def select_alpha(variances) -> float:
         raise DegenerateComponent("all score variances are zero")
     return next(float(alpha) for alpha in sorted(set(lam.tolist()), reverse=True)
                 if float(lam[lam >= alpha].sum()) >= 0.8 * total)
-
-
-def _retained_indices(variances: np.ndarray, alpha: float) -> list[int]:
-    floor = RELATIVE_VARIANCE_FLOOR * float(variances.max())
-    return [int(j) for j in np.flatnonzero((variances >= alpha) & (variances > floor))]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -130,13 +120,15 @@ def build_detector(model) -> DetectionModel:
     Training scores Y come straight from the fitted model; per-component
     variances use the population convention (divisor n), which makes the
     L2 path's variances equal eigenvalue/n on mean-zero score columns.
-    scores holds s_i for each sample; the largest variance is always
-    retained and no retained variance is zero.
+    Component j is retained when lambda_j >= alpha, alpha from
+    select_alpha. alpha is at least the smallest positive variance, so the
+    largest variance is always retained and no retained variance is zero.
+    scores holds s_i for each sample.
     """
     Y = model.training_scores()
     variances = Y.var(axis=0)
     alpha = select_alpha(variances)
-    retained = _retained_indices(variances, alpha)
+    retained = np.flatnonzero(variances >= alpha).tolist()
     Y = Y[:, retained]
     scores = (Y * Y / variances[retained]).sum(axis=1)
     return DetectionModel(variances=variances, alpha=alpha, retained=retained, scores=scores)

@@ -102,16 +102,15 @@ def total_explained_variation(normal_gram: GramMatrix, model, cross: np.ndarray,
     model is a fitted KpcaModel or EigenModel on the noisy data; cross
     holds kernel evaluations between normal rows and the noisy training
     rows. The numerator sums squared scores of the normal samples on the
-    first p loading directions; the denominator is the top-p eigenvalue
-    sum of the normal Gram (what any p orthonormal directions could
-    capture at most).
+    first p loading directions (default all of the model's); the
+    denominator is the top-p eigenvalue sum of the normal Gram (what any p
+    orthonormal directions could capture at most). A p outside
+    [1, model.n_components] raises InvalidData.
     """
     if not isinstance(model, (l1.KpcaModel, l2.EigenModel)):
         raise InvalidData(f"unsupported model type {type(model).__name__}")
-    available = model.n_components
-    p = available if p is None else p
-    if not 1 <= p <= available:
-        raise InvalidData(f"p={p} not in [1, {available}]")
+    # Refused before the eigen-solve, with the count rule of every model score.
+    p = l1._require_count(p, model.n_components)
 
     denominator = _capturable_variation(normal_gram.spec, normal_gram.entries, p)
     return _explained_percent(model.scores(cross, p), denominator)
@@ -166,7 +165,7 @@ def _sweep_cell(r: float, spec: KernelSpec, cfg: SynthConfig, p: int,
         if spec.family == "linear":
             X, Q = noisy.values, normal.values
             # The count check of the m x m solve, which the d x d one cannot make.
-            l2._require_count(p, Q.shape[0])
+            l1._require_count(p, Q.shape[0])
             denominator = _capturable_variation(spec, Q.T @ Q, min(p, X.shape[1]))
             model1 = l1.fit(K_noisy, p, options)
             scores1 = Q @ (X.T @ model1.projection(p))
@@ -209,15 +208,22 @@ def robustness_sweep(r_values, spec: KernelSpec, cfg: SynthConfig = SynthConfig(
     return rows
 
 
+def _max_components(data: Dataset) -> int:
+    """max(1, min(n - 1, d)): standardized data has rank at most n - 1 under the linear kernel."""
+    return max(1, min(data.n_samples - 1, data.n_features))
+
+
 def runtime_bench(name: str, data: Dataset, specs, p: int | None = None,
                   starts: int = l1.DEFAULT_STARTS, seed: int = 0) -> list[dict]:
     """Wall-clock seconds of full L1 and L2 fits on one dataset, per kernel.
 
     Each row's dataset field is name. Timing includes Gram construction (it
-    dominates growth in n). p defaults to min(n, d); seed seeds the L1
-    fit's random starts. Runs serially to avoid contention skew.
+    dominates growth in n). p defaults to max(1, min(n - 1, d)), the rank
+    bound of standardized data under the linear kernel, which detect's
+    default also applies; seed seeds the L1 fit's random starts. Runs
+    serially to avoid contention skew.
     """
-    n_comp = p if p is not None else min(data.n_samples, data.n_features)
+    n_comp = p if p is not None else _max_components(data)
     rows = []
     for spec in specs:
         t0 = time.perf_counter()

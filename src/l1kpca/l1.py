@@ -125,12 +125,29 @@ class KpcaModel:
         return np.column_stack([comp.train_scores for comp in self.components])
 
     def projection(self, p: int | None = None) -> np.ndarray:
-        """n x p map W that scores the first p components (default all) as cross @ W."""
-        return _chain_map(self.components[:p])
+        """n x p map W that scores the first p components (default all) as cross @ W.
+
+        p must be in [1, n_components]; any other count raises InvalidData.
+        """
+        return _chain_map(self.components[:_require_count(p, self.n_components)])
 
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
-        """Scores of cross-Gram rows on the first p components (default all)."""
+        """Scores of cross-Gram rows on the first p components (default all).
+
+        p must be in [1, n_components]; any other count raises InvalidData.
+        """
         return _project(cross, self.projection(p))
+
+
+def _require_count(p: int | None, available: int) -> int:
+    """p, or available when p is None, after checking 1 <= p <= available.
+
+    The one component-count rule: every fit, eigen-solve and model score
+    of both model kinds checks its count here, with one InvalidData message.
+    """
+    if p is not None and not 1 <= p <= available:
+        raise InvalidData(f"component count {p} not in [1, {available}]")
+    return available if p is None else p
 
 
 def _project(cross: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -334,8 +351,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> K
     opts = options or FitOptions()
     K = gram_matrix.entries
     n = K.shape[0]
-    if not 1 <= p <= n:
-        raise InvalidData(f"component count {p} not in [1, {n}]")
+    p = _require_count(p, n)
 
     # The zero band scales with the undeflated K: a deflated K_j's own
     # max|K_j| shrinks to rounding noise once the kernel's rank is used up,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NumericalFailure
 from .kernel import Dataset, GramMatrix, KernelSpec
-from .l1 import _project
+from .l1 import _project, _require_count
 
 
 @dataclass
@@ -45,15 +45,20 @@ class EigenModel:
     def projection(self, p: int | None = None) -> np.ndarray:
         """n x p map W scoring the first p components (default all) as cross @ W.
 
-        Column j is u_j / sqrt(mu_j); an eigenvalue among the first p that
-        is not positive (zero or NaN) raises DegenerateComponent.
+        Column j is u_j / sqrt(mu_j). p must be in [1, n_components]; any
+        other count raises InvalidData, and an eigenvalue among the first p
+        that is not positive (zero or NaN) raises DegenerateComponent.
         """
+        p = _require_count(p, self.n_components)
         mu = self.eigenvalues[:p]
         _require_positive(mu)
         return self.coefficient_vectors[:, :p] / np.sqrt(mu)
 
     def scores(self, cross: np.ndarray, p: int | None = None) -> np.ndarray:
-        """Scores of cross-Gram rows on the first p components (default all)."""
+        """Scores of cross-Gram rows on the first p components (default all).
+
+        p must be in [1, n_components]; any other count raises InvalidData.
+        """
         return _project(cross, self.projection(p))
 
 
@@ -61,12 +66,6 @@ def _require_positive(mu: np.ndarray) -> None:
     """Raise DegenerateComponent unless every eigenvalue in mu is positive (not zero or NaN)."""
     if not np.all(mu > 0):
         raise DegenerateComponent(f"eigenvalue {mu.min():.3e} too small to scale scores")
-
-
-def _require_count(p: int, n: int) -> None:
-    """Raise InvalidData unless 1 <= p <= n, the components an n x n solve has."""
-    if not 1 <= p <= n:
-        raise InvalidData(f"component count {p} not in [1, {n}]")
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:

@@ -126,6 +126,16 @@ def test_bench_subcommand(tmp_path, capsys):
     assert {row["method"] for row in rows} == {"l1", "l2"}
 
 
+def test_bench_default_component_count_fits_wide_data(tmp_path, capsys):
+    # n = 30 <= d = 40: standardized data has rank n - 1 = 29 under the linear kernel.
+    noisy, _ = make_synth_files(tmp_path, capsys, n=30, d=40, rank=5, seed=1)
+    code, out, err = run_cli(capsys, "bench", "--data", str(noisy), "--label-column", "40")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    assert len(rows) == 2
+    assert all(row["p"] == 29 for row in rows)
+
+
 def test_bench_seeds_the_l1_fit(tmp_path, capsys, monkeypatch):
     noisy, _ = make_synth_files(tmp_path, capsys, n=30, d=4)
     seeds = []

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_instance
 from l1kpca import (DegenerateComponent, FitOptions, InvalidData, build_detector, classify,
@@ -92,6 +93,26 @@ def test_scores_invariant_under_column_sign_flips():
     flipped = build_detector(StubModel(Y * np.array([-1.0, 1.0, -1.0])))
     assert flipped.retained == base.retained
     npt.assert_allclose(flipped.scores, base.scores)
+
+
+def retained_with_relative_floor(variances, alpha):
+    """The retention rule before the variance floor was dropped: also lambda_j > 1e-12 max."""
+    return np.flatnonzero((variances >= alpha) & (variances > 1e-12 * variances.max())).tolist()
+
+
+# Exact zeros, subnormals, and magnitudes from about 1e-320 to 1e301.
+VARIANCE = st.one_of(st.just(0.0), st.floats(0.0, 1e-300),
+                     st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-320, 300)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(variances=st.lists(VARIANCE, min_size=1, max_size=59))
+def test_retention_by_alpha_alone_matches_the_relative_floor_rule(variances):
+    # A column [a, -a] has population variance a^2.
+    Y = np.sqrt(variances) * np.array([[1.0], [-1.0]])
+    assume(Y.var(axis=0).sum() > 0)
+    det = build_detector(StubModel(Y))
+    assert det.retained == retained_with_relative_floor(det.variances, det.alpha)
 
 
 def test_detector_refuses_score_columns_without_finite_variance():

@@ -14,8 +14,9 @@ from conftest import (deflation_chain, instance_rows, iterate_batch_reference, m
                       raw_dataset, raw_gram, sign_update, train_scores)
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
-                    gram, l2_fit, standardize, standardize_with, transform)
-from l1kpca import kernel, l1
+                    gram, l2_fit, standardize, standardize_with, total_explained_variation,
+                    transform)
+from l1kpca import kernel, l1, l2
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
                        _iterate_batch, _zero_band, random_starts, validate_sign_vector)
 from l1kpca.l2 import EigenModel
@@ -715,6 +716,32 @@ def test_both_model_kinds_reject_cross_gram_of_wrong_width():
         for cross in (np.ones((4, 9)), np.ones((4, 11)), np.ones(10)):
             with pytest.raises(InvalidData, match="expected matrix with 10 columns"):
                 model.scores(cross)
+
+
+BAD_COUNTS = [pytest.param(lambda count: -1, id="-1"), pytest.param(lambda count: 0, id="0"),
+              pytest.param(lambda count: count + 1, id="count+1"),
+              pytest.param(lambda count: 10**9, id="10**9")]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("entry", ["fit", "l2_fit", "top_eigenvalues", "l1 projection",
+                                   "l1 scores", "l2 projection", "l2 scores", "l1 tev", "l2 tev"])
+def test_every_component_count_outside_one_to_available_is_refused(entry, bad):
+    data, models = fitted_models()
+    spec, n = models[0].spec, data.n_samples
+    K, G = gram(spec, data), cross_gram(spec, data, data)
+    calls = {"fit": (lambda p: fit(K, p, FitOptions(starts=1)), n),
+             "l2_fit": (lambda p: l2_fit(K, p), n),
+             "top_eigenvalues": (lambda p: l2.top_eigenvalues(K.entries, p), n)}
+    for kind, model in zip(("l1", "l2"), models):
+        calls[f"{kind} projection"] = (model.projection, model.n_components)
+        calls[f"{kind} scores"] = (lambda p, model=model: model.scores(G, p), model.n_components)
+        calls[f"{kind} tev"] = (lambda p, model=model: total_explained_variation(K, model, G, p),
+                                model.n_components)
+    call, count = calls[entry]
+    p = bad(count)
+    with pytest.raises(InvalidData, match=rf"^component count {p} not in \[1, {count}\]$"):
+        call(p)
 
 
 def test_l1_and_l2_models_share_transform_and_detector():
