@@ -22,7 +22,7 @@ import sys
 from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
 from .errors import InvalidData, L1KpcaError
-from .kernel import KernelSpec, gram
+from .kernel import KernelSpec, LinearFactor, _gram, gram
 from .oracle import enumerate_sign_vectors
 
 # The commands whose output is a table of rows: only they offer --format csv.
@@ -155,9 +155,20 @@ def _kernel_spec(args, n_features: int) -> KernelSpec:
     return _spec(args.kernel, args.sigma, n_features, args.degree, args.offset)
 
 
-def _gram(args):
-    """Gram matrix of the standardized --data file under the kernel flags; .data is the file."""
+def _read_data(args, components: int | None = None):
+    """The standardized --data file, after checking a component count against its rows.
+
+    A count outside [1, n] is refused here, before any Gram is built.
+    """
     data = model_io.read_csv(args.data, args.header, _label_column(args))
+    if components is not None:
+        l1._require_count(components, data.n_samples)
+    return data
+
+
+def _gram_of_file(args, components: int | None = None):
+    """gram() of the standardized --data file under the kernel flags; .data is the file."""
+    data = _read_data(args, components)
     return gram(_kernel_spec(args, data.n_features), data)
 
 
@@ -190,7 +201,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None, jsonl_rows=None) 
 
 def _cmd_fit(args) -> None:
     opts = l1.FitOptions(starts=args.starts, seed=args.seed)
-    model = l1.fit(_gram(args), args.components, opts)
+    model = l1.fit(_gram_of_file(args, args.components), args.components, opts)
     model_io.write_model(model, args.model)
     _emit(args, {"model": args.model,
                  "objectives": [c.objective for c in model.components],
@@ -198,7 +209,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_fit_l2(args) -> None:
-    model = l2.l2_fit(_gram(args), args.components)
+    model = l2.l2_fit(_gram_of_file(args, args.components), args.components)
     model_io.write_model(model, args.model)
     _emit(args, {"model": args.model, "eigenvalues": model.eigenvalues.tolist()})
 
@@ -217,14 +228,19 @@ def _cmd_detect(args) -> None:
     # Checked before the data is read, so a refused threshold costs no fit.
     if args.threshold is not None:
         detect._check_threshold(args.threshold)
-    K = _gram(args)
-    data = K.data
+    data = _read_data(args, args.components)
+    spec = _kernel_spec(args, data.n_features)
     p = (args.components if args.components is not None
          else min(experiments._max_components(data), 50))
+    # detect prints no component's sign, so it fits on the forms whose rounding
+    # may settle a +c / -c tie the other way: the linear factor, which builds
+    # no Gram and has no n cap, and the one-product Gram.
     if args.method == "l1":
+        K = (LinearFactor(values=data.values, spec=spec, data=data) if spec.family == "linear"
+             else _gram(spec, data))
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed))
     else:
-        model = l2.l2_fit(K, p)
+        model = l2.l2_fit(_gram(spec, data), p)
     detector = detect.build_detector(model)
     scores = detector.scores
     payload = {"alpha": detector.alpha, "retained": detector.retained,
@@ -275,6 +291,10 @@ def _cmd_robustness(args) -> None:
 def _cmd_bench(args) -> None:
     datasets = {path: model_io.read_csv(path, args.header, _label_column(args))
                 for path in args.data}
+    # Every file's count is checked before the first Gram is built.
+    if args.components is not None:
+        for data in datasets.values():
+            l1._require_count(args.components, data.n_samples)
     rows = []
     for path, data in datasets.items():
         # sigma defaults to each dataset's own feature count
@@ -289,7 +309,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    K = _gram(args)
+    K = _gram_of_file(args)
     best = enumerate_sign_vectors(K)
     model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective

@@ -11,8 +11,16 @@ this package. Three kernel families are supported:
 All three give positive semidefinite Gram matrices, which the sign
 iteration in l1 needs to reach a fixed point in finitely many passes.
 
-Datasets, kernel specs and Gram matrices are frozen after construction
-(arrays are marked read-only), so no later step can change them in place.
+Datasets, kernel specs, Gram matrices and linear factors are frozen after
+construction (arrays are marked read-only), so no later step can change
+them in place.
+
+The L1 solver takes a kernel in one of two forms:
+
+- GramMatrix, the dense n x n matrix, for every family;
+- LinearFactor, the n x d factor X of a linear Gram K = XX'. K is never
+  formed: each product the solver needs is one with X and X', in
+  O(n (d + m)) memory for m columns, and no n cap applies.
 
 Memory: a Gram matrix of any family peaks at about n^2 floats plus one
 ~1 MB working tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about
@@ -25,6 +33,12 @@ differences, so its entries keep the dense formula's bits. Those bits
 settle the sign of a fitted component where starts tie, and fitted signs
 are output (model files, transform scores). Every family's Gram is
 mirrored in place, tile by tile.
+
+Which command builds which form: fit, fit-l2, oracle and bench fit on
+gram(), whose signs they output or time. detect prints no sign (only
+variances, squared scores and PR-AUC), so it takes the cheaper forms: a
+LinearFactor for the linear L1 fit, the one-product _gram() otherwise. The
+robustness sweep's TEV is sign-invariant too, and it fits on _gram().
 """
 
 from __future__ import annotations
@@ -143,6 +157,53 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class LinearFactor:
+    """The n x d factor X = values of a linear Gram K = XX', which is never formed.
+
+    The L1 solver's second form of K, next to a GramMatrix's entries: it
+    answers every product the solver asks for through X and X', and a
+    deflated factor is again a factor. data is the Dataset the factor came
+    from, else None, as GramMatrix.data; like a deflated Gram, a deflated
+    factor has none.
+    """
+
+    values: np.ndarray
+    spec: KernelSpec = field(default_factory=KernelSpec)
+    data: Dataset | None = None
+
+    def __post_init__(self):
+        if self.spec.family != "linear":
+            raise InvalidData(f"a linear factor stands for a linear Gram, "
+                              f"not a {self.spec.family} one")
+        self.values.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of K, n x n."""
+        return (self.values.shape[0],) * 2
+
+    def __matmul__(self, C: np.ndarray) -> np.ndarray:
+        """K @ C as X (X'C)."""
+        return self.values @ (self.values.T @ C)
+
+    def row_patch(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """delta @ K[rows] as X (X[rows]' delta); no row of K is built."""
+        return self.values @ delta.dot(self.values.take(rows, axis=0))
+
+    def row_sums(self) -> np.ndarray:
+        """K 1 as X (X'1)."""
+        return self.values @ self.values.sum(axis=0)
+
+    def max_abs(self) -> float:
+        """max_i ||x_i||^2, the largest diagonal entry of K.
+
+        K is positive semidefinite, so |K_ij| <= sqrt(K_ii K_jj) and this
+        equals max|K| in exact arithmetic.
+        """
+        return float(np.einsum("ij,ij->i", self.values, self.values).max())
 
 
 def _check_matrix(raw) -> np.ndarray:

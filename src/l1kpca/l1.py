@@ -13,6 +13,7 @@ kernel matrix is deflated to remove an extracted direction via
     K  <-  K - (Kc)(Kc)' / s.
 
 Multiple components come from repeating the solve on the deflated kernel.
+
 Out-of-sample scores apply the same deflation identity to a cross-Gram
 matrix G. The identity is linear in G, so a model's scores are G W with
 one n x p map W built from the sign vectors, objectives and training
@@ -25,17 +26,35 @@ the package accepts gives a positive semidefinite K, on which each flipped
 entry raises c'Kc by at least 4|(Kc)_i|, more than four zero bands, so
 the iteration cannot cycle and reaches a fixed point in finitely many
 passes; the constant MAX_ITER caps the pass count only as a fault guard.
+
+The kernel comes in one of two forms (see kernel), and one solver serves
+both: the same _iterate_batch, _solve and component loop of fit.
+
+- A GramMatrix: K is its dense n x n entries, deflated as above.
+- A LinearFactor X of a linear Gram K = XX', never formed. The solver's
+  products are K C = X (X'C), the row patch delta @ K[rows] =
+  X (X[rows]' delta) and the row sums K 1 = X (X'1); its zero band uses
+  max_i ||x_i||^2, which equals max|K| in exact arithmetic, K being
+  positive semidefinite. Deflation is X <- X - (Xu)u' with
+  u = X'c / sqrt(s), whose Gram is the deflated K above. This is Kwak's
+  input-space iteration (TPAMI 2008) that the kernel form generalizes;
+  memory is O(n (d + starts)). Products with X round differently from
+  products with K, so a start may land on -c where the dense form lands
+  on c, and objectives and scores move in the last bits. Only detect,
+  which cannot show a sign, fits on this form.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NonConvergence
-from .kernel import Dataset, GramMatrix, KernelSpec, _tile_rows, cross_gram, standardize_with
+from .kernel import (Dataset, GramMatrix, KernelSpec, LinearFactor, _tile_rows, cross_gram,
+                     standardize_with)
 
 # Pass cap of every solve, a fault guard; reaching it raises NonConvergence.
 MAX_ITER = 1000
@@ -57,13 +76,28 @@ class FitOptions:
             raise InvalidData(f"seed {self.seed} must be at least 0")
 
 
-def _zero_band(K: np.ndarray) -> float:
+def _operator(gram_matrix: GramMatrix | LinearFactor) -> np.ndarray | LinearFactor:
+    """The K the solver multiplies: a GramMatrix's entries, or a LinearFactor itself."""
+    return gram_matrix.entries if isinstance(gram_matrix, GramMatrix) else gram_matrix
+
+
+def _zero_band(K: np.ndarray | LinearFactor) -> float:
     """The zero band 1e-12 * n * max|K|."""
+    if isinstance(K, LinearFactor):
+        return 1e-12 * K.shape[0] * K.max_abs()
     # max|K| without materializing np.abs(K); K is O(n^2).
     return 1e-12 * K.shape[0] * float(max(K.max(), -K.min()))
 
 
-def _quadratic_form(K: np.ndarray, c: np.ndarray, tol_zero: float,
+def _row_patch(K: np.ndarray | LinearFactor, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """delta @ K[rows]: the change of Kc when the entries rows of c change by delta."""
+    if isinstance(K, LinearFactor):
+        return K.row_patch(delta, rows)
+    # K is exactly symmetric: gather contiguous rows, not strided columns.
+    return delta.dot(K.take(rows, axis=0))
+
+
+def _quadratic_form(K: np.ndarray | LinearFactor, c: np.ndarray, tol_zero: float,
                     message: str) -> tuple[np.ndarray, float]:
     """Kc and c'Kc; raises DegenerateComponent(message.format(c'Kc)) inside the zero band."""
     v = K @ c
@@ -140,12 +174,15 @@ class KpcaModel:
 
 
 def _require_count(p: int | None, available: int) -> int:
-    """p, or available when p is None, after checking 1 <= p <= available.
+    """p, or available when p is None, after checking p is an integer in [1, available].
 
     The one component-count rule: every fit, eigen-solve and model score
     of both model kinds checks its count here, with one InvalidData message.
+    Python and numpy integers count; a float such as 2.0 or a boolean
+    does not.
     """
-    if p is not None and not 1 <= p <= available:
+    if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral)
+                          or not 1 <= p <= available):
         raise InvalidData(f"component count {p} not in [1, {available}]")
     return available if p is None else p
 
@@ -172,16 +209,16 @@ def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
     return c
 
 
-def _iterate_batch(K: np.ndarray, C0: np.ndarray,
+def _iterate_batch(K: np.ndarray | LinearFactor, C0: np.ndarray,
                    tol_zero: float) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
     All columns share one K @ C product on the first pass; afterwards a
     column that flips only a few signs gets its Kc product patched with a
-    skinny rank-update (delta @ K[flipped]) instead of a fresh gemv,
-    and heavy-flip columns are recomputed together in one gemm. Each
-    column's trajectory is the same as running it alone, so results do
-    not depend on batching or scheduling. A column stops only when a pass
+    skinny rank-update (delta @ K[flipped], see _row_patch) instead of a
+    fresh product, and heavy-flip columns are recomputed together in one
+    product. Each column's trajectory is the same as running it alone, so
+    results do not depend on batching or scheduling. A column stops only when a pass
     flips no sign (terminated_by="sign_fixed"). Returns one (sign vector,
     recorded objective c'Kc, report) record per column; a column without
     a fixed point after MAX_ITER passes has terminated_by="max_iter" and
@@ -239,8 +276,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray,
                 out[col] = (k + 1, s)
                 continue
             if b - a <= incr_cutoff:
-                # K is exactly symmetric: gather contiguous rows, not strided columns.
-                v_cols[col] += deltas[a:b].dot(K.take(flipped[a:b], axis=0))
+                v_cols[col] += _row_patch(K, deltas[a:b], flipped[a:b])
             else:
                 recompute.append(col)
             still.append(col)
@@ -269,7 +305,7 @@ def _iterate_batch(K: np.ndarray, C0: np.ndarray,
     return records
 
 
-def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float) -> ComponentModel:
+def _solve(K: np.ndarray | LinearFactor, C0: np.ndarray, tol_zero: float) -> ComponentModel:
     """One component from the starts in C0's columns: iterate, reduce, finalize.
 
     Starts whose recorded objective clears the zero band compete on it
@@ -286,7 +322,7 @@ def _solve(K: np.ndarray, C0: np.ndarray, tol_zero: float) -> ComponentModel:
     return ComponentModel(sign_vector=c, objective=s, report=report, train_scores=v / np.sqrt(s))
 
 
-def fit_component(gram_matrix: GramMatrix, c0) -> ComponentModel:
+def fit_component(gram_matrix: GramMatrix | LinearFactor, c0) -> ComponentModel:
     """Iterate the sign-update map from c0 until the sign vector is fixed.
 
     Terminates only when the updated vector equals the previous one
@@ -296,18 +332,18 @@ def fit_component(gram_matrix: GramMatrix, c0) -> ComponentModel:
     and DegenerateComponent if the terminal objective c'Kc is numerically
     zero.
     """
-    K = gram_matrix.entries
+    K = _operator(gram_matrix)
     c0 = validate_sign_vector(c0, K.shape[0])
     return _solve(K, c0[:, None], _zero_band(K))
 
 
-def default_start(K: np.ndarray, tol_zero: float) -> np.ndarray:
+def default_start(K: np.ndarray | LinearFactor, tol_zero: float) -> np.ndarray:
     """Deterministic starting sign vector: the sign of each row sum.
 
     Points toward the dominant variance direction; row sums inside the
     zero band map to +1.
     """
-    rowsum = K.sum(axis=1)
+    rowsum = K.row_sums() if isinstance(K, LinearFactor) else K.sum(axis=1)
     c = np.sign(rowsum)
     c[np.abs(rowsum) <= tol_zero] = 1.0
     return c
@@ -319,16 +355,22 @@ def random_starts(n: int, count: int, seed) -> np.ndarray:
     return (rng.integers(0, 2, size=(n, count)) * 2 - 1).astype(float)
 
 
-def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
+def deflate(gram_matrix: GramMatrix | LinearFactor, c) -> GramMatrix | LinearFactor:
     """Remove an extracted direction from the kernel: K - (Kc)(Kc)'/(c'Kc).
 
-    The result is exactly symmetric and annihilates c's direction
-    (c'Kc drops to rounding noise).
+    The result is of the argument's form and annihilates c's direction
+    (c'Kc drops to rounding noise). A GramMatrix's result is exactly
+    symmetric. A LinearFactor X becomes X - (Xu)u' with u = X'c/sqrt(c'Kc),
+    a unit vector, so its Gram is the deflated K.
     """
-    K = gram_matrix.entries
+    K = _operator(gram_matrix)
     c = validate_sign_vector(c, K.shape[0])
     v, s = _quadratic_form(K, c, _zero_band(K),
                            "cannot deflate: objective {:.3e} is numerically zero")
+    if isinstance(gram_matrix, LinearFactor):
+        X = gram_matrix.values
+        u = (X.T @ c) / math.sqrt(s)
+        return LinearFactor(values=X - np.outer(X @ u, u), spec=gram_matrix.spec)
     # outer(v, v) is exactly symmetric, so the difference stays exactly
     # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
     entries = np.outer(v, v)
@@ -337,7 +379,8 @@ def deflate(gram_matrix: GramMatrix, c) -> GramMatrix:
     return GramMatrix(entries=entries, spec=gram_matrix.spec)
 
 
-def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> KpcaModel:
+def fit(gram_matrix: GramMatrix | LinearFactor, p: int,
+        options: FitOptions | None = None) -> KpcaModel:
     """Extract p components by multi-start solves on the successively deflated kernel.
 
     For each component the solver runs from the deterministic row-sum
@@ -347,9 +390,11 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> K
     Components are ordered by extraction order. Errors carry the index of
     the component that failed; a component past the kernel's rank raises
     DegenerateComponent. The model's training data is gram_matrix.data.
+    gram_matrix may be either kernel form (see the module docstring); the
+    kernel is deflated in that form.
     """
     opts = options or FitOptions()
-    K = gram_matrix.entries
+    K = _operator(gram_matrix)
     n = K.shape[0]
     p = _require_count(p, n)
 
@@ -360,7 +405,7 @@ def fit(gram_matrix: GramMatrix, p: int, options: FitOptions | None = None) -> K
     current = gram_matrix
     components: list[ComponentModel] = []
     for j in range(p):
-        K = current.entries
+        K = _operator(current)
         # Random starts come from a per-component stream keyed on (seed, j)
         # so component count does not reshuffle earlier components' starts.
         C0 = np.column_stack([default_start(K, tol_zero),

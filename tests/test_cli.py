@@ -408,6 +408,49 @@ def test_robustness_refuses_n_over_the_gram_cap_before_any_product(monkeypatch, 
         assert err == "l1kpca: n=24 exceeds the dense Gram cap of 10\n"
 
 
+def refuse_kernel_products(monkeypatch):
+    """Make every kernel evaluation raise, the explicit-difference gaussian included."""
+    def no_product(*args):
+        raise AssertionError("kernel product built")
+
+    monkeypatch.setattr(kernel, "_pairwise", no_product)
+    monkeypatch.setattr(kernel, "_gaussian", no_product)
+
+
+def test_linear_l1_detect_builds_no_gram_and_has_no_gram_cap(tmp_path, capsys, monkeypatch):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=24)
+    monkeypatch.setattr(kernel, "MAX_GRAM_SIZE", 10)
+    refuse_kernel_products(monkeypatch)
+    data_flags = ("--data", str(noisy), "--label-column", "4")
+    code, out, err = run_cli(capsys, "detect", *data_flags, "--kernel", "linear")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["scores"]) == 24 and 0.0 <= payload["auc"] <= 1.0
+    for flags in (("--kernel", "gaussian"), ("--kernel", "linear", "--method", "l2")):
+        code, out, err = run_cli(capsys, "detect", *data_flags, *flags)
+        assert (code, out) == (3, "")
+        assert err == "l1kpca: n=24 exceeds the dense Gram cap of 10\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-l2", "detect", "bench"])
+@pytest.mark.parametrize("kernel_name", ["linear", "gaussian"])
+@pytest.mark.parametrize("count", ["0", "41"])
+def test_component_count_outside_one_to_n_is_refused_before_any_gram(tmp_path, capsys,
+                                                                     monkeypatch, command,
+                                                                     kernel_name, count):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=40)
+    refuse_kernel_products(monkeypatch)
+    model_path = tmp_path / "model.json"
+    kernel_flags = (("--kernels", kernel_name) if command == "bench"
+                    else ("--kernel", kernel_name))
+    model_flags = ("--model", str(model_path)) if command in ("fit", "fit-l2") else ()
+    code, out, err = run_cli(capsys, command, "--data", str(noisy), "--label-column", "4",
+                             *kernel_flags, "--components", count, *model_flags)
+    assert (code, out) == (3, "")
+    assert err == f"l1kpca: component count {count} not in [1, 40]\n"
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--grid", "5,abc"), "--grid '5,abc' is not a comma-separated list of numbers"),
     (("--seeds", "0"), "seed count 0 must be at least 1"),

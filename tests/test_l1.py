@@ -17,6 +17,7 @@ from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, Ke
                     gram, l2_fit, standardize, standardize_with, total_explained_variation,
                     transform)
 from l1kpca import kernel, l1, l2
+from l1kpca.kernel import LinearFactor
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
                        _iterate_batch, _zero_band, random_starts, validate_sign_vector)
 from l1kpca.l2 import EigenModel
@@ -720,7 +721,8 @@ def test_both_model_kinds_reject_cross_gram_of_wrong_width():
 
 BAD_COUNTS = [pytest.param(lambda count: -1, id="-1"), pytest.param(lambda count: 0, id="0"),
               pytest.param(lambda count: count + 1, id="count+1"),
-              pytest.param(lambda count: 10**9, id="10**9")]
+              pytest.param(lambda count: 10**9, id="10**9"),
+              pytest.param(lambda count: 2.5, id="2.5"), pytest.param(lambda count: 2.0, id="2.0")]
 
 
 @pytest.mark.parametrize("bad", BAD_COUNTS)
@@ -742,6 +744,15 @@ def test_every_component_count_outside_one_to_available_is_refused(entry, bad):
     p = bad(count)
     with pytest.raises(InvalidData, match=rf"^component count {p} not in \[1, {count}\]$"):
         call(p)
+
+
+def test_numpy_integer_component_counts_are_accepted():
+    data, models = fitted_models()
+    K = gram(models[0].spec, data)
+    assert fit(K, np.int64(2), FitOptions(starts=4)).n_components == 2
+    assert l2_fit(K, np.int32(2)).n_components == 2
+    for model in models:
+        assert model.projection(np.int64(2)).shape == (data.n_samples, 2)
 
 
 def test_l1_and_l2_models_share_transform_and_detector():
@@ -806,6 +817,96 @@ def test_linear_kernel_iteration_equals_input_space_iteration():
         assert len(seq_k) == len(seq_i)
         for a, b in zip(seq_k, seq_i):
             npt.assert_array_equal(a, b)
+
+
+# ----------------------------------------------------- linear factor form
+
+def linear_forms(seed, n, d, outliers=0, scale=1.0):
+    """Standardized continuous rows, as a dense linear Gram and as its factor."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, d))
+    raw[:outliers] *= scale
+    data = standardize(raw)
+    spec = KernelSpec("linear")
+    return gram(spec, data), LinearFactor(values=data.values, spec=spec, data=data)
+
+
+def fit_or_failed_component(K, p, options):
+    """fit's model and None, or None and the 'component j' prefix of its DegenerateComponent."""
+    try:
+        return fit(K, p, options), None
+    except DegenerateComponent as exc:
+        return None, str(exc).split(":")[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(4, 60), d=st.integers(1, 8), extra=st.integers(0, 2),
+       outliers=st.integers(0, 4), scale=st.sampled_from([1.0, 4.0, 30.0]),
+       starts=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2**16))
+def test_factor_fit_matches_the_dense_fit_up_to_sign(n, d, extra, outliers, scale, starts,
+                                                      seed):
+    # Standardized data of rank r = min(n - 1, d): a p past r fails at component r.
+    K, factor = linear_forms(seed, n, d, outliers, scale)
+    p = min(n, min(n - 1, d) + extra)
+    options = FitOptions(starts=starts, seed=seed)
+    dense, dense_failed = fit_or_failed_component(K, p, options)
+    model, failed = fit_or_failed_component(factor, p, options)
+    assert failed == dense_failed
+    if dense is None:
+        return
+    assert model.train_ref is factor.data and model.spec == K.spec
+    tol_zero, scale = _zero_band(K.entries), dense.components[0].objective
+    for comp, ref in zip(model.components, dense.components):
+        # An entry whose (K_j c)_i is inside the zero band keeps the sign it
+        # had: a row that deflation emptied weighs nothing in K_j, so either
+        # sign is the same fixed point. Every other entry agrees up to sign.
+        kept = np.abs(ref.train_scores) * np.sqrt(ref.objective) > tol_zero
+        c, c_ref = comp.sign_vector[kept], ref.sign_vector[kept]
+        assert np.array_equal(c, c_ref) or np.array_equal(c, -c_ref)
+        # Relative to the leading objective: the last objective within the
+        # rank can sit near rounding of the kernel's scale.
+        assert abs(comp.objective - ref.objective) <= 1e-12 * scale
+    detector, ref = build_detector(model), build_detector(dense)
+    assert detector.retained == ref.retained
+    npt.assert_allclose(detector.scores, ref.scores, rtol=1e-12, atol=0)
+
+
+def test_factor_deflation_is_the_dense_deflation():
+    K, factor = linear_forms(811, n=25, d=5, outliers=2, scale=6.0)
+    model = fit(K, 3, FitOptions(seed=1))
+    for comp in model.components:
+        K, factor = deflate(K, comp.sign_vector), deflate(factor, comp.sign_vector)
+        assert isinstance(factor, LinearFactor) and factor.data is None
+        npt.assert_allclose(factor.values @ factor.values.T, K.entries,
+                            rtol=0, atol=1e-12 * np.abs(K.entries).max())
+    with pytest.raises(InvalidData, match="not a gaussian one"):
+        LinearFactor(values=factor.values, spec=KernelSpec("gaussian"))
+
+
+def test_factor_fit_deflates_through_the_module_binding(monkeypatch):
+    calls = []
+
+    def counting_deflate(gram_matrix, c):
+        calls.append(type(gram_matrix))
+        return deflate(gram_matrix, c)
+
+    monkeypatch.setattr(l1, "deflate", counting_deflate)
+    _, factor = linear_forms(812, n=30, d=6)
+    fit(factor, 4, FitOptions(starts=4, seed=1))
+    assert calls == [LinearFactor] * 3
+
+
+def test_factor_fit_memory_is_linear_in_n():
+    # At n = 5000 the Gram alone would be 200 MB; the factor fit peaked at 4.2 MB.
+    _, factor = linear_forms(813, n=5000, d=10)
+    tracemalloc.start()
+    try:
+        model = fit(factor, 10, FitOptions(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_components == 10
+    assert peak <= 8 * 2**20
 
 
 # ------------------------------------------------------ loading orthogonality
