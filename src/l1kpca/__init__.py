@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateComponent, InstanceTooLarge, InvalidData, L1KpcaError,
                      NonConvergence, NumericalFailure, ParseError, SchemaError)
-from .kernel import (Dataset, GramMatrix, KernelSpec, LinearFactor, cross_gram, gram,
-                     kernel_eval, standardize, standardize_with)
+from .kernel import (Dataset, DeflatedGram, GramMatrix, KernelSpec, LinearFactor, cross_gram,
+                     gram, kernel_eval, standardize, standardize_with)
 from .l1 import (ComponentModel, ConvergenceReport, FitOptions, KpcaModel, deflate, fit,
                  fit_component, transform)
 from .l2 import EigenModel, l2_fit, l2_scores
@@ -26,7 +26,8 @@ __all__ = [
     "__version__",
     "L1KpcaError", "InvalidData", "ParseError", "SchemaError", "DegenerateComponent",
     "NonConvergence", "NumericalFailure", "InstanceTooLarge",
-    "Dataset", "KernelSpec", "GramMatrix", "LinearFactor", "standardize", "standardize_with",
+    "Dataset", "KernelSpec", "GramMatrix", "LinearFactor", "DeflatedGram", "standardize",
+    "standardize_with",
     "kernel_eval", "gram", "cross_gram",
     "FitOptions", "ConvergenceReport", "ComponentModel", "KpcaModel",
     "fit_component", "fit", "deflate", "transform",

@@ -22,7 +22,7 @@ import sys
 from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
 from .errors import InvalidData, L1KpcaError
-from .kernel import KernelSpec, LinearFactor, _gram, gram
+from .kernel import DeflatedGram, KernelSpec, LinearFactor, _gram, gram
 from .oracle import enumerate_sign_vectors
 
 # The commands whose output is a table of rows: only they offer --format csv.
@@ -234,10 +234,11 @@ def _cmd_detect(args) -> None:
          else min(experiments._max_components(data), 50))
     # detect prints no component's sign, so it fits on the forms whose rounding
     # may settle a +c / -c tie the other way: the linear factor, which builds
-    # no Gram and has no n cap, and the one-product Gram.
+    # no Gram and has no n cap, and the one-product Gram, deflated implicitly
+    # so that the fit holds no n x n matrix but that Gram.
     if args.method == "l1":
         K = (LinearFactor(values=data.values, spec=spec, data=data) if spec.family == "linear"
-             else _gram(spec, data))
+             else DeflatedGram(_gram(spec, data)))
         model = l1.fit(K, p, l1.FitOptions(starts=args.starts, seed=args.seed))
     else:
         model = l2.l2_fit(_gram(spec, data), p)

@@ -11,16 +11,21 @@ this package. Three kernel families are supported:
 All three give positive semidefinite Gram matrices, which the sign
 iteration in l1 needs to reach a fixed point in finitely many passes.
 
-Datasets, kernel specs, Gram matrices and linear factors are frozen after
-construction (arrays are marked read-only), so no later step can change
-them in place.
+Datasets, kernel specs and every kernel form are frozen after construction
+(arrays are marked read-only), so no later step can change them in place.
 
-The L1 solver takes a kernel in one of two forms:
+The L1 solver takes a kernel in one of three forms, each a KernelForm:
 
-- GramMatrix, the dense n x n matrix, for every family;
+- GramMatrix, the dense n x n matrix, for every family; it deflates into
+  a new dense matrix;
 - LinearFactor, the n x d factor X of a linear Gram K = XX'. K is never
   formed: each product the solver needs is one with X and X', in
   O(n (d + m)) memory for m columns, and no n cap applies.
+- DeflatedGram, a dense undeflated Gram K_0 with the n x j training
+  scores T of the components taken out of it, standing for
+  K_j = K_0 - TT'. K_j is never formed: each product is one with K_0 and
+  a skinny one with T, and a deflation appends a column to T, so a fit
+  holds K_0 and O(n (j + m)) more, not a new n x n matrix per component.
 
 Memory: a Gram matrix of any family peaks at about n^2 floats plus one
 ~1 MB working tile (3.2 GB at the n = 20 000 cap), a cross-Gram at about
@@ -35,17 +40,21 @@ are output (model files, transform scores). Every family's Gram is
 mirrored in place, tile by tile.
 
 Which command builds which form: fit, fit-l2, oracle and bench fit on
-gram(), whose signs they output or time. detect prints no sign (only
-variances, squared scores and PR-AUC), so it takes the cheaper forms: a
-LinearFactor for the linear L1 fit, the one-product _gram() otherwise. The
-robustness sweep's TEV is sign-invariant too, and it fits on _gram().
+gram(), whose signs they output or time; an L1 fit there deflates the
+dense matrix. detect prints no sign (only variances, squared scores and
+PR-AUC), so it takes the cheaper forms: a LinearFactor for the linear L1
+fit, a DeflatedGram over the one-product _gram() for the gaussian and
+polynomial L1 fits, and _gram() itself for the L2 fit. The robustness
+sweep's TEV is sign-invariant too, and it fits on _gram().
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -143,9 +152,39 @@ class KernelSpec:
                 "degree": self.degree, "offset": self.offset}
 
 
+class KernelForm(Protocol):
+    """What the L1 solver asks of a kernel K, whatever its form.
+
+    Every form stands for a symmetric positive semidefinite n x n K.
+    deflated(c, v, s), given v = Kc and s = c'Kc > 0, returns the same form
+    of K - vv'/s.
+    """
+
+    @property
+    def shape(self) -> tuple[int, int]: ...
+
+    def __matmul__(self, C: np.ndarray) -> np.ndarray:
+        """K @ C."""
+
+    def row_patch(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """delta @ K[rows]: the change of Kc when the entries rows of c change by delta."""
+
+    def row_sums(self) -> np.ndarray:
+        """K 1."""
+
+    def max_abs(self) -> float:
+        """The scale of the solver's zero band, max|K|."""
+
+    def deflated(self, c: np.ndarray, v: np.ndarray, s: float) -> KernelForm: ...
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric n x n kernel matrix; data is the Dataset gram() built it from, else None."""
+    """Symmetric n x n kernel matrix; data is the Dataset gram() built it from, else None.
+
+    The L1 solver's dense form of K. Its entries are read-only, so its row
+    sums and max|K| are computed on first use and kept.
+    """
 
     entries: np.ndarray
     spec: KernelSpec = field(default_factory=KernelSpec)
@@ -158,16 +197,56 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
+
+    def __matmul__(self, C: np.ndarray) -> np.ndarray:
+        return self.entries @ C
+
+    def row_patch(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """delta @ K[rows]."""
+        # K is exactly symmetric: gather contiguous rows, not strided columns.
+        return delta.dot(self.entries.take(rows, axis=0))
+
+    def row_sums(self) -> np.ndarray:
+        """K 1."""
+        return self._row_sums
+
+    def max_abs(self) -> float:
+        """max|K|."""
+        return self._max_abs
+
+    @functools.cached_property
+    def _row_sums(self) -> np.ndarray:
+        sums = self.entries.sum(axis=1)
+        sums.flags.writeable = False
+        return sums
+
+    @functools.cached_property
+    def _max_abs(self) -> float:
+        # Without materializing np.abs(K); K is O(n^2). max and min propagate
+        # NaN and reach any infinity, so the result is finite iff every entry is.
+        return float(max(self.entries.max(), -self.entries.min()))
+
+    def deflated(self, c: np.ndarray, v: np.ndarray, s: float) -> GramMatrix:
+        """The dense K - vv'/s, exactly symmetric; like every deflated form, it has no data."""
+        # outer(v, v) is exactly symmetric, so the difference stays exactly
+        # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
+        entries = np.outer(v, v)
+        entries /= s
+        np.subtract(self.entries, entries, out=entries)
+        return GramMatrix(entries=entries, spec=self.spec)
+
 
 @dataclass(frozen=True)
 class LinearFactor:
     """The n x d factor X = values of a linear Gram K = XX', which is never formed.
 
-    The L1 solver's second form of K, next to a GramMatrix's entries: it
-    answers every product the solver asks for through X and X', and a
-    deflated factor is again a factor. data is the Dataset the factor came
-    from, else None, as GramMatrix.data; like a deflated Gram, a deflated
-    factor has none.
+    The L1 solver's factor form of K: it answers every product the solver
+    asks for through X and X', and a deflated factor is again a factor.
+    data is the Dataset the factor came from, else None, as GramMatrix.data;
+    like a deflated Gram, a deflated factor has none.
     """
 
     values: np.ndarray
@@ -204,6 +283,75 @@ class LinearFactor:
         equals max|K| in exact arithmetic.
         """
         return float(np.einsum("ij,ij->i", self.values, self.values).max())
+
+    def deflated(self, c: np.ndarray, v: np.ndarray, s: float) -> LinearFactor:
+        """X - (Xu)u' with the unit vector u = X'c / sqrt(s): its Gram is K - vv'/s."""
+        X = self.values
+        u = (X.T @ c) / math.sqrt(s)
+        return LinearFactor(values=X - np.outer(X @ u, u), spec=self.spec)
+
+
+@dataclass(frozen=True)
+class DeflatedGram:
+    """K_j = K_0 - TT' for the dense Gram K_0 = base and T = scores, n x j; K_j is never formed.
+
+    The L1 solver's implicitly deflated form of K. Its products are
+    K_0's plus a skinny correction with T, and deflating it by c appends
+    t = K_j c / sqrt(c'K_j c) to T, since tt' is the dense deflation's
+    (K_j c)(K_j c)' / (c'K_j c). K_0's row sums and max|K_0| are computed
+    once, on base, and every deflated form reads them there. The zero band
+    stays K_0's, the band fit uses for every component anyway; on a
+    positive semidefinite K_0 it bounds K_j's. scores defaults to no
+    column, K_0 itself. A base that is not square or has a non-finite
+    entry raises InvalidData. data is base's, and like a deflated Gram, a
+    deflated form has none.
+    """
+
+    base: GramMatrix
+    scores: np.ndarray | None = None
+
+    def __post_init__(self):
+        shape = self.base.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise InvalidData(f"expected a square kernel matrix, got shape {shape}")
+        if not math.isfinite(self.base.max_abs()):
+            raise _non_finite(self.base.spec)
+        if self.scores is None:
+            object.__setattr__(self, "scores", np.empty((shape[0], 0)))
+        self.scores.flags.writeable = False
+
+    @property
+    def spec(self) -> KernelSpec:
+        return self.base.spec
+
+    @property
+    def data(self) -> Dataset | None:
+        return self.base.data if self.scores.shape[1] == 0 else None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.shape
+
+    def __matmul__(self, C: np.ndarray) -> np.ndarray:
+        """K_j @ C as K_0 C - T (T'C)."""
+        return self.base @ C - self.scores @ (self.scores.T @ C)
+
+    def row_patch(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """delta @ K_j[rows] as delta @ K_0[rows] - T (T[rows]' delta)."""
+        return (self.base.row_patch(delta, rows)
+                - self.scores @ delta.dot(self.scores.take(rows, axis=0)))
+
+    def row_sums(self) -> np.ndarray:
+        """K_j 1 as K_0 1 - T (T'1)."""
+        return self.base.row_sums() - self.scores @ self.scores.sum(axis=0)
+
+    def max_abs(self) -> float:
+        """max|K_0|."""
+        return self.base.max_abs()
+
+    def deflated(self, c: np.ndarray, v: np.ndarray, s: float) -> DeflatedGram:
+        """The same K_0 with t = v / sqrt(s) appended to T."""
+        return DeflatedGram(base=self.base, scores=np.column_stack([self.scores, v / np.sqrt(s)]))
 
 
 def _check_matrix(raw) -> np.ndarray:
@@ -332,11 +480,15 @@ def _mirror_upper(entries: np.ndarray) -> None:
         entries[b:, a:b] = entries[a:b, b:].T
 
 
+def _non_finite(spec: KernelSpec) -> InvalidData:
+    return InvalidData(f"the {spec.family} kernel gives non-finite Gram entries on this data")
+
+
 def require_finite(spec: KernelSpec, entries: np.ndarray) -> None:
     """Raise InvalidData unless every entry of a kernel matrix is finite."""
     # max and min propagate NaN and reach any infinity without an n x n temporary.
     if not (np.isfinite(entries.max()) and np.isfinite(entries.min())):
-        raise InvalidData(f"the {spec.family} kernel gives non-finite Gram entries on this data")
+        raise _non_finite(spec)
 
 
 def gram(spec: KernelSpec, data: Dataset) -> GramMatrix:

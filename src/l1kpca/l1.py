@@ -27,8 +27,11 @@ entry raises c'Kc by at least 4|(Kc)_i|, more than four zero bands, so
 the iteration cannot cycle and reaches a fixed point in finitely many
 passes; the constant MAX_ITER caps the pass count only as a fault guard.
 
-The kernel comes in one of two forms (see kernel), and one solver serves
-both: the same _iterate_batch, _solve and component loop of fit.
+The kernel comes in one of three forms (see kernel), each a KernelForm,
+and one solver serves them all: the same _iterate_batch, _solve and
+component loop of fit, which ask a form for its products K C, its row
+patches delta @ K[rows], its row sums K 1 and its zero band's scale, and
+deflate through its deflated().
 
 - A GramMatrix: K is its dense n x n entries, deflated as above.
 - A LinearFactor X of a linear Gram K = XX', never formed. The solver's
@@ -38,10 +41,19 @@ both: the same _iterate_batch, _solve and component loop of fit.
   positive semidefinite. Deflation is X <- X - (Xu)u' with
   u = X'c / sqrt(s), whose Gram is the deflated K above. This is Kwak's
   input-space iteration (TPAMI 2008) that the kernel form generalizes;
-  memory is O(n (d + starts)). Products with X round differently from
-  products with K, so a start may land on -c where the dense form lands
-  on c, and objectives and scores move in the last bits. Only detect,
-  which cannot show a sign, fits on this form.
+  memory is O(n (d + starts)).
+- A DeflatedGram: the undeflated dense K_0 and the stacked training
+  scores T of the components taken out, standing for K_j = K_0 - TT'.
+  Products are K_0 C - T (T'C), row patches delta @ K_0[rows] -
+  T (T[rows]' delta) and row sums K_0 1 - T (T'1), with K_0 1 and the
+  zero band K_0's, computed once. Deflation appends Kc / sqrt(s) to T,
+  so a fit holds K_0 and O(n (p + starts)) more, where the dense chain
+  builds a new n x n matrix per component.
+
+Products through a factor or through T round differently from products
+with the dense deflated K, so a start may land on -c where the dense form
+lands on c, and objectives and scores move in the last bits. Only detect,
+which cannot show a sign, fits on those two forms.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NonConvergence
-from .kernel import (Dataset, GramMatrix, KernelSpec, LinearFactor, _tile_rows, cross_gram,
+from .kernel import (Dataset, GramMatrix, KernelForm, KernelSpec, _tile_rows, cross_gram,
                      standardize_with)
 
 # Pass cap of every solve, a fault guard; reaching it raises NonConvergence.
@@ -76,28 +88,19 @@ class FitOptions:
             raise InvalidData(f"seed {self.seed} must be at least 0")
 
 
-def _operator(gram_matrix: GramMatrix | LinearFactor) -> np.ndarray | LinearFactor:
-    """The K the solver multiplies: a GramMatrix's entries, or a LinearFactor itself."""
-    return gram_matrix.entries if isinstance(gram_matrix, GramMatrix) else gram_matrix
+def _operator(K: KernelForm | np.ndarray) -> KernelForm:
+    """K as a KernelForm: a bare n x n array is read as a GramMatrix of its entries."""
+    # A view, so the caller's own array is not made read-only.
+    return GramMatrix(entries=K.view()) if isinstance(K, np.ndarray) else K
 
 
-def _zero_band(K: np.ndarray | LinearFactor) -> float:
+def _zero_band(K: KernelForm | np.ndarray) -> float:
     """The zero band 1e-12 * n * max|K|."""
-    if isinstance(K, LinearFactor):
-        return 1e-12 * K.shape[0] * K.max_abs()
-    # max|K| without materializing np.abs(K); K is O(n^2).
-    return 1e-12 * K.shape[0] * float(max(K.max(), -K.min()))
+    K = _operator(K)
+    return 1e-12 * K.shape[0] * K.max_abs()
 
 
-def _row_patch(K: np.ndarray | LinearFactor, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """delta @ K[rows]: the change of Kc when the entries rows of c change by delta."""
-    if isinstance(K, LinearFactor):
-        return K.row_patch(delta, rows)
-    # K is exactly symmetric: gather contiguous rows, not strided columns.
-    return delta.dot(K.take(rows, axis=0))
-
-
-def _quadratic_form(K: np.ndarray | LinearFactor, c: np.ndarray, tol_zero: float,
+def _quadratic_form(K: KernelForm | np.ndarray, c: np.ndarray, tol_zero: float,
                     message: str) -> tuple[np.ndarray, float]:
     """Kc and c'Kc; raises DegenerateComponent(message.format(c'Kc)) inside the zero band."""
     v = K @ c
@@ -209,13 +212,13 @@ def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
     return c
 
 
-def _iterate_batch(K: np.ndarray | LinearFactor, C0: np.ndarray,
+def _iterate_batch(K: KernelForm | np.ndarray, C0: np.ndarray,
                    tol_zero: float) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
     All columns share one K @ C product on the first pass; afterwards a
     column that flips only a few signs gets its Kc product patched with a
-    skinny rank-update (delta @ K[flipped], see _row_patch) instead of a
+    skinny rank-update (delta @ K[flipped], K's row_patch) instead of a
     fresh product, and heavy-flip columns are recomputed together in one
     product. Each column's trajectory is the same as running it alone, so
     results do not depend on batching or scheduling. A column stops only when a pass
@@ -236,6 +239,7 @@ def _iterate_batch(K: np.ndarray | LinearFactor, C0: np.ndarray,
     and the shared recompute gemm. The first two go through ndarray.dot,
     the same BLAS calls as @ with less call overhead.
     """
+    K = _operator(K)
     n, m = C0.shape
     C = C0.copy()
     V = K @ C  # V[:, j] tracks K @ C[:, j] across passes
@@ -276,7 +280,7 @@ def _iterate_batch(K: np.ndarray | LinearFactor, C0: np.ndarray,
                 out[col] = (k + 1, s)
                 continue
             if b - a <= incr_cutoff:
-                v_cols[col] += _row_patch(K, deltas[a:b], flipped[a:b])
+                v_cols[col] += K.row_patch(deltas[a:b], flipped[a:b])
             else:
                 recompute.append(col)
             still.append(col)
@@ -305,7 +309,7 @@ def _iterate_batch(K: np.ndarray | LinearFactor, C0: np.ndarray,
     return records
 
 
-def _solve(K: np.ndarray | LinearFactor, C0: np.ndarray, tol_zero: float) -> ComponentModel:
+def _solve(K: KernelForm, C0: np.ndarray, tol_zero: float) -> ComponentModel:
     """One component from the starts in C0's columns: iterate, reduce, finalize.
 
     Starts whose recorded objective clears the zero band compete on it
@@ -322,7 +326,7 @@ def _solve(K: np.ndarray | LinearFactor, C0: np.ndarray, tol_zero: float) -> Com
     return ComponentModel(sign_vector=c, objective=s, report=report, train_scores=v / np.sqrt(s))
 
 
-def fit_component(gram_matrix: GramMatrix | LinearFactor, c0) -> ComponentModel:
+def fit_component(gram_matrix: KernelForm, c0) -> ComponentModel:
     """Iterate the sign-update map from c0 until the sign vector is fixed.
 
     Terminates only when the updated vector equals the previous one
@@ -332,18 +336,17 @@ def fit_component(gram_matrix: GramMatrix | LinearFactor, c0) -> ComponentModel:
     and DegenerateComponent if the terminal objective c'Kc is numerically
     zero.
     """
-    K = _operator(gram_matrix)
-    c0 = validate_sign_vector(c0, K.shape[0])
-    return _solve(K, c0[:, None], _zero_band(K))
+    c0 = validate_sign_vector(c0, gram_matrix.shape[0])
+    return _solve(gram_matrix, c0[:, None], _zero_band(gram_matrix))
 
 
-def default_start(K: np.ndarray | LinearFactor, tol_zero: float) -> np.ndarray:
+def default_start(K: KernelForm | np.ndarray, tol_zero: float) -> np.ndarray:
     """Deterministic starting sign vector: the sign of each row sum.
 
     Points toward the dominant variance direction; row sums inside the
     zero band map to +1.
     """
-    rowsum = K.row_sums() if isinstance(K, LinearFactor) else K.sum(axis=1)
+    rowsum = _operator(K).row_sums()
     c = np.sign(rowsum)
     c[np.abs(rowsum) <= tol_zero] = 1.0
     return c
@@ -355,31 +358,20 @@ def random_starts(n: int, count: int, seed) -> np.ndarray:
     return (rng.integers(0, 2, size=(n, count)) * 2 - 1).astype(float)
 
 
-def deflate(gram_matrix: GramMatrix | LinearFactor, c) -> GramMatrix | LinearFactor:
+def deflate(gram_matrix: KernelForm, c) -> KernelForm:
     """Remove an extracted direction from the kernel: K - (Kc)(Kc)'/(c'Kc).
 
-    The result is of the argument's form and annihilates c's direction
-    (c'Kc drops to rounding noise). A GramMatrix's result is exactly
-    symmetric. A LinearFactor X becomes X - (Xu)u' with u = X'c/sqrt(c'Kc),
-    a unit vector, so its Gram is the deflated K.
+    The result is of the argument's form (see its deflated()) and
+    annihilates c's direction (c'Kc drops to rounding noise). A c'Kc inside
+    the form's zero band raises DegenerateComponent.
     """
-    K = _operator(gram_matrix)
-    c = validate_sign_vector(c, K.shape[0])
-    v, s = _quadratic_form(K, c, _zero_band(K),
+    c = validate_sign_vector(c, gram_matrix.shape[0])
+    v, s = _quadratic_form(gram_matrix, c, _zero_band(gram_matrix),
                            "cannot deflate: objective {:.3e} is numerically zero")
-    if isinstance(gram_matrix, LinearFactor):
-        X = gram_matrix.values
-        u = (X.T @ c) / math.sqrt(s)
-        return LinearFactor(values=X - np.outer(X @ u, u), spec=gram_matrix.spec)
-    # outer(v, v) is exactly symmetric, so the difference stays exactly
-    # symmetric. One n x n array holds outer(v, v), then / s, then K - it.
-    entries = np.outer(v, v)
-    entries /= s
-    np.subtract(K, entries, out=entries)
-    return GramMatrix(entries=entries, spec=gram_matrix.spec)
+    return gram_matrix.deflated(c, v, s)
 
 
-def fit(gram_matrix: GramMatrix | LinearFactor, p: int,
+def fit(gram_matrix: KernelForm, p: int,
         options: FitOptions | None = None) -> KpcaModel:
     """Extract p components by multi-start solves on the successively deflated kernel.
 
@@ -390,29 +382,27 @@ def fit(gram_matrix: GramMatrix | LinearFactor, p: int,
     Components are ordered by extraction order. Errors carry the index of
     the component that failed; a component past the kernel's rank raises
     DegenerateComponent. The model's training data is gram_matrix.data.
-    gram_matrix may be either kernel form (see the module docstring); the
+    gram_matrix may be any kernel form (see the module docstring); the
     kernel is deflated in that form.
     """
     opts = options or FitOptions()
-    K = _operator(gram_matrix)
-    n = K.shape[0]
+    n = gram_matrix.shape[0]
     p = _require_count(p, n)
 
     # The zero band scales with the undeflated K: a deflated K_j's own
     # max|K_j| shrinks to rounding noise once the kernel's rank is used up,
     # and a band scaled to it would pass noise.
-    tol_zero = _zero_band(K)
+    tol_zero = _zero_band(gram_matrix)
     current = gram_matrix
     components: list[ComponentModel] = []
     for j in range(p):
-        K = _operator(current)
         # Random starts come from a per-component stream keyed on (seed, j)
         # so component count does not reshuffle earlier components' starts.
-        C0 = np.column_stack([default_start(K, tol_zero),
+        C0 = np.column_stack([default_start(current, tol_zero),
                               random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
 
         try:
-            best = _solve(K, C0, tol_zero)
+            best = _solve(current, C0, tol_zero)
         except (DegenerateComponent, NonConvergence) as exc:
             exc.args = (f"component {j}: {exc.args[0]}",)
             raise

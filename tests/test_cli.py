@@ -6,8 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from l1kpca import (FitOptions, GramMatrix, KernelSpec, fit, gram, kernel, l1,
-                    l2_fit, read_csv, write_model)
+from l1kpca import (DeflatedGram, FitOptions, GramMatrix, KernelSpec, build_detector, deflate,
+                    fit, gram, kernel, l1, l2_fit, pr_auc, read_csv, write_model)
 from l1kpca.cli import main
 
 
@@ -426,10 +426,35 @@ def test_linear_l1_detect_builds_no_gram_and_has_no_gram_cap(tmp_path, capsys, m
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert len(payload["scores"]) == 24 and 0.0 <= payload["auc"] <= 1.0
-    for flags in (("--kernel", "gaussian"), ("--kernel", "linear", "--method", "l2")):
+    for flags in (("--kernel", "gaussian"), ("--kernel", "poly"),
+                  ("--kernel", "linear", "--method", "l2")):
         code, out, err = run_cli(capsys, "detect", *data_flags, *flags)
         assert (code, out) == (3, "")
         assert err == "l1kpca: n=24 exceeds the dense Gram cap of 10\n"
+
+
+@pytest.mark.parametrize("kernel_name, family", [("gaussian", "gaussian"), ("poly", "polynomial")])
+def test_nonlinear_l1_detect_deflates_implicitly_and_matches_the_dense_path(
+        tmp_path, capsys, monkeypatch, kernel_name, family):
+    noisy, _ = make_synth_files(tmp_path, capsys, n=60, d=5, rank=2, r=15, seed=9)
+    forms = []
+
+    def recording_deflate(gram_matrix, c):
+        forms.append(type(gram_matrix))
+        return deflate(gram_matrix, c)
+
+    monkeypatch.setattr(l1, "deflate", recording_deflate)
+    code, out, err = run_cli(capsys, "detect", "--data", str(noisy), "--label-column", "5",
+                             "--kernel", kernel_name)
+    assert (code, err) == (0, "")
+    # detect's default p = min(n - 1, d, 50) = 5 components: four deflations.
+    assert forms == [DeflatedGram] * 4
+    payload = json.loads(out)
+    data = read_csv(str(noisy), label_column=5)
+    dense = build_detector(fit(gram(KernelSpec(family, sigma=5.0), data), 5, FitOptions()))
+    assert payload["retained"] == dense.retained
+    assert payload["auc"] == pr_auc(dense.scores, data.labels).auc
+    npt.assert_allclose(payload["scores"], dense.scores, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("command", ["fit", "fit-l2", "detect", "bench"])

@@ -17,7 +17,7 @@ from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, Ke
                     gram, l2_fit, standardize, standardize_with, total_explained_variation,
                     transform)
 from l1kpca import kernel, l1, l2
-from l1kpca.kernel import LinearFactor
+from l1kpca.kernel import DeflatedGram, LinearFactor
 from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
                        _iterate_batch, _zero_band, random_starts, validate_sign_vector)
 from l1kpca.l2 import EigenModel
@@ -902,6 +902,135 @@ def test_factor_fit_memory_is_linear_in_n():
     tracemalloc.start()
     try:
         model = fit(factor, 10, FitOptions(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_components == 10
+    assert peak <= 8 * 2**20
+
+
+# ---------------------------------------------------- implicitly deflated Gram
+
+def nonlinear_gram(seed, n, d, family, sigma_scale=1.0, degree=2, offset=1.0, outliers=0,
+                   scale=1.0):
+    """gram() of standardized continuous rows under a gaussian or polynomial spec."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, d))
+    raw[:outliers] *= scale
+    spec = KernelSpec(family, sigma=sigma_scale * d, degree=degree, offset=offset)
+    return gram(spec, standardize(raw))
+
+
+def detector_or_refusal(model):
+    """build_detector's model and None, or None and its DegenerateComponent message."""
+    try:
+        return build_detector(model), None
+    except DegenerateComponent as exc:
+        return None, str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(4, 50), d=st.integers(1, 6), p=st.integers(1, 6),
+       family=st.sampled_from(["gaussian", "polynomial"]),
+       sigma_scale=st.sampled_from([0.5, 1.0, 2.0]), degree=st.integers(1, 3),
+       offset=st.sampled_from([0.0, 1.0]), outliers=st.integers(0, 4),
+       scale=st.sampled_from([1.0, 4.0]), starts=st.sampled_from([1, 3, 8]),
+       seed=st.integers(0, 2**16))
+def test_deflated_gram_matches_the_dense_deflation_chain(n, d, p, family, sigma_scale, degree,
+                                                        offset, outliers, scale, starts, seed):
+    K = nonlinear_gram(seed, n, d, family, sigma_scale, degree, offset, outliers, scale)
+    p = min(p, n)
+    options = FitOptions(starts=starts, seed=seed)
+    dense, dense_failed = fit_or_failed_component(K, p, options)
+    model, failed = fit_or_failed_component(DeflatedGram(K), p, options)
+    assert failed == dense_failed
+    if dense is None:
+        return
+    assert model.train_ref is K.data and model.spec == K.spec
+    tol_zero, lead = _zero_band(K.entries), dense.components[0].objective
+
+    # Every operation the solver asks of K_j, on the dense chain's own sign vectors.
+    rng = np.random.default_rng(seed)
+    C = random_starts(n, 3, seed)
+    delta = 2.0 * rng.choice([-1.0, 1.0], size=max(1, n // 8))
+    rows = rng.choice(n, size=delta.size, replace=False)
+    atol = 1e-12 * n * np.abs(K.entries).max()
+    implicit = DeflatedGram(K)
+    for j, entries in enumerate(deflation_chain(K, dense)[:p]):
+        assert implicit.scores.shape == (n, j)
+        npt.assert_allclose(implicit @ C, entries @ C, rtol=0, atol=atol)
+        npt.assert_allclose(implicit.row_patch(delta, rows), delta @ entries[rows],
+                            rtol=0, atol=atol)
+        npt.assert_allclose(implicit.row_sums(), entries.sum(axis=1), rtol=0, atol=atol)
+        if j + 1 < p:
+            implicit = deflate(implicit, dense.components[j].sign_vector)
+
+    for comp, ref in zip(model.components, dense.components):
+        # As for the linear factor: entries inside the zero band may keep
+        # either sign; every other entry agrees up to sign.
+        kept = np.abs(ref.train_scores) * np.sqrt(ref.objective) > tol_zero
+        c, c_ref = comp.sign_vector[kept], ref.sign_vector[kept]
+        assert np.array_equal(c, c_ref) or np.array_equal(c, -c_ref)
+        assert abs(comp.objective - ref.objective) <= 1e-12 * lead
+    # A kernel with a constant feature (degree 1, offset 1) can give scores
+    # of zero variance, which both detectors refuse.
+    detector, refusal = detector_or_refusal(model)
+    ref, ref_refusal = detector_or_refusal(dense)
+    assert refusal == ref_refusal
+    if ref is not None:
+        assert detector.retained == ref.retained
+        npt.assert_allclose(detector.scores, ref.scores, rtol=1e-10, atol=0)
+
+
+def test_deflated_gram_refuses_what_the_dense_form_refuses():
+    K = nonlinear_gram(820, n=20, d=3, family="gaussian")
+    c = fit(K, 1, FitOptions(seed=2)).components[0].sign_vector
+    # Deflating by a direction already taken out: c'Kc is rounding noise.
+    for form in (K, DeflatedGram(K)):
+        with pytest.raises(DegenerateComponent,
+                           match=r"^cannot deflate: objective \S+ is numerically zero$"):
+            deflate(deflate(form, c), c)
+        with pytest.raises(InvalidData, match="sign vector has length 19, expected 20"):
+            deflate(form, c[1:])
+
+    with pytest.raises(InvalidData, match=r"expected a square kernel matrix, got shape \(3, 4\)"):
+        DeflatedGram(GramMatrix(entries=np.ones((3, 4))))
+    spec = KernelSpec("gaussian", sigma=1e-200)
+    data = standardize(instance_rows(821, 6, 2))
+    with pytest.raises(InvalidData) as dense_refusal:
+        gram(spec, data)
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.eye(6)
+        entries[2, 4] = entries[4, 2] = bad
+        with pytest.raises(InvalidData) as refusal:
+            DeflatedGram(GramMatrix(entries=entries, spec=spec))
+        assert str(refusal.value) == str(dense_refusal.value)
+
+
+def test_deflated_gram_fit_deflates_through_the_module_binding(monkeypatch):
+    calls = []
+
+    def counting_deflate(gram_matrix, c):
+        calls.append(type(gram_matrix))
+        return deflate(gram_matrix, c)
+
+    monkeypatch.setattr(l1, "deflate", counting_deflate)
+    K = DeflatedGram(nonlinear_gram(822, n=30, d=4, family="polynomial"))
+    model = fit(K, 4, FitOptions(starts=4, seed=1))
+    assert calls == [DeflatedGram] * 3
+    # fit deflates new forms; the one it was given is still K_0. Like a
+    # deflated Gram, a deflated form carries no data.
+    assert K.scores.shape == (30, 0) and model.train_ref is K.data is not None
+    assert deflate(K, model.components[0].sign_vector).data is None
+
+
+def test_deflated_gram_fit_memory_is_the_gram_plus_o_n_p():
+    # Above the caller's 18 MB Gram, this fit peaked at 1.9 MB, and the same
+    # fit on the dense GramMatrix at 34.8 MB: two more n x n arrays.
+    K = nonlinear_gram(823, n=1500, d=10, family="gaussian")
+    tracemalloc.start()
+    try:
+        model = fit(DeflatedGram(K), 10, FitOptions(seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
