@@ -23,7 +23,7 @@ from . import __version__, detect, experiments, l1, l2
 from . import io as model_io
 from .errors import InvalidData, L1KpcaError
 from .kernel import DeflatedGram, KernelSpec, LinearFactor, _gram, gram
-from .oracle import enumerate_sign_vectors
+from .oracle import _require_enumerable, enumerate_sign_vectors
 
 # The commands whose output is a table of rows: only they offer --format csv.
 TABLE_COMMANDS = ("transform", "detect", "robustness", "bench")
@@ -310,7 +310,10 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    K = _gram_of_file(args)
+    data = _read_data(args)
+    # Checked before the Gram is built, which past the cap may be gigabytes.
+    _require_enumerable(data.n_samples)
+    K = gram(_kernel_spec(args, data.n_features), data)
     best = enumerate_sign_vectors(K)
     model = l1.fit(K, 1, l1.FitOptions(starts=args.starts, seed=args.seed))
     solver_obj = model.components[0].objective

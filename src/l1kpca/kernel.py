@@ -14,7 +14,9 @@ iteration in l1 needs to reach a fixed point in finitely many passes.
 Datasets, kernel specs and every kernel form are frozen after construction
 (arrays are marked read-only), so no later step can change them in place.
 
-The L1 solver takes a kernel in one of three forms, each a KernelForm:
+The L1 solver takes a kernel in one of three forms, each a KernelForm. It
+asks a form for products only, K C and the row patch delta @ K[rows], plus
+its zero band's scale max|K| and its deflated form:
 
 - GramMatrix, the dense n x n matrix, for every family; it deflates into
   a new dense matrix;
@@ -169,9 +171,6 @@ class KernelForm(Protocol):
     def row_patch(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """delta @ K[rows]: the change of Kc when the entries rows of c change by delta."""
 
-    def row_sums(self) -> np.ndarray:
-        """K 1."""
-
     def max_abs(self) -> float:
         """The scale of the solver's zero band, max|K|."""
 
@@ -182,8 +181,8 @@ class KernelForm(Protocol):
 class GramMatrix:
     """Symmetric n x n kernel matrix; data is the Dataset gram() built it from, else None.
 
-    The L1 solver's dense form of K. Its entries are read-only, so its row
-    sums and max|K| are computed on first use and kept.
+    The L1 solver's dense form of K. Its entries are read-only, so its
+    max|K| is computed on first use and kept.
     """
 
     entries: np.ndarray
@@ -209,19 +208,9 @@ class GramMatrix:
         # K is exactly symmetric: gather contiguous rows, not strided columns.
         return delta.dot(self.entries.take(rows, axis=0))
 
-    def row_sums(self) -> np.ndarray:
-        """K 1."""
-        return self._row_sums
-
     def max_abs(self) -> float:
         """max|K|."""
         return self._max_abs
-
-    @functools.cached_property
-    def _row_sums(self) -> np.ndarray:
-        sums = self.entries.sum(axis=1)
-        sums.flags.writeable = False
-        return sums
 
     @functools.cached_property
     def _max_abs(self) -> float:
@@ -272,10 +261,6 @@ class LinearFactor:
         """delta @ K[rows] as X (X[rows]' delta); no row of K is built."""
         return self.values @ delta.dot(self.values.take(rows, axis=0))
 
-    def row_sums(self) -> np.ndarray:
-        """K 1 as X (X'1)."""
-        return self.values @ self.values.sum(axis=0)
-
     def max_abs(self) -> float:
         """max_i ||x_i||^2, the largest diagonal entry of K.
 
@@ -298,13 +283,12 @@ class DeflatedGram:
     The L1 solver's implicitly deflated form of K. Its products are
     K_0's plus a skinny correction with T, and deflating it by c appends
     t = K_j c / sqrt(c'K_j c) to T, since tt' is the dense deflation's
-    (K_j c)(K_j c)' / (c'K_j c). K_0's row sums and max|K_0| are computed
-    once, on base, and every deflated form reads them there. The zero band
-    stays K_0's, the band fit uses for every component anyway; on a
-    positive semidefinite K_0 it bounds K_j's. scores defaults to no
-    column, K_0 itself. A base that is not square or has a non-finite
-    entry raises InvalidData. data is base's, and like a deflated Gram, a
-    deflated form has none.
+    (K_j c)(K_j c)' / (c'K_j c). max|K_0| is computed once, on base, and
+    every deflated form reads it there. The zero band stays K_0's, the
+    band fit uses for every component anyway; on a positive semidefinite
+    K_0 it bounds K_j's. scores defaults to no column, K_0 itself. A base
+    that is not square or has a non-finite entry raises InvalidData. data
+    is base's, and like a deflated Gram, a deflated form has none.
     """
 
     base: GramMatrix
@@ -340,10 +324,6 @@ class DeflatedGram:
         """delta @ K_j[rows] as delta @ K_0[rows] - T (T[rows]' delta)."""
         return (self.base.row_patch(delta, rows)
                 - self.scores @ delta.dot(self.scores.take(rows, axis=0)))
-
-    def row_sums(self) -> np.ndarray:
-        """K_j 1 as K_0 1 - T (T'1)."""
-        return self.base.row_sums() - self.scores @ self.scores.sum(axis=0)
 
     def max_abs(self) -> float:
         """max|K_0|."""

@@ -27,28 +27,32 @@ entry raises c'Kc by at least 4|(Kc)_i|, more than four zero bands, so
 the iteration cannot cycle and reaches a fixed point in finitely many
 passes; the constant MAX_ITER caps the pass count only as a fault guard.
 
+Every component starts from the all-ones vector, plus seeded random sign
+vectors. One pass of the iteration takes the all-ones vector to sgn(K 1),
+the sign of K's row sums (entries inside the zero band stay +1), a
+deterministic start that points toward the dominant variance direction.
+
 The kernel comes in one of three forms (see kernel), each a KernelForm,
 and one solver serves them all: the same _iterate_batch, _solve and
 component loop of fit, which ask a form for its products K C, its row
-patches delta @ K[rows], its row sums K 1 and its zero band's scale, and
-deflate through its deflated().
+patches delta @ K[rows] and its zero band's scale, and deflate through
+its deflated().
 
 - A GramMatrix: K is its dense n x n entries, deflated as above.
 - A LinearFactor X of a linear Gram K = XX', never formed. The solver's
-  products are K C = X (X'C), the row patch delta @ K[rows] =
-  X (X[rows]' delta) and the row sums K 1 = X (X'1); its zero band uses
-  max_i ||x_i||^2, which equals max|K| in exact arithmetic, K being
-  positive semidefinite. Deflation is X <- X - (Xu)u' with
-  u = X'c / sqrt(s), whose Gram is the deflated K above. This is Kwak's
-  input-space iteration (TPAMI 2008) that the kernel form generalizes;
-  memory is O(n (d + starts)).
+  products are K C = X (X'C) and the row patch delta @ K[rows] =
+  X (X[rows]' delta); its zero band uses max_i ||x_i||^2, which equals
+  max|K| in exact arithmetic, K being positive semidefinite. Deflation
+  is X <- X - (Xu)u' with u = X'c / sqrt(s), whose Gram is the deflated
+  K above. This is Kwak's input-space iteration (TPAMI 2008) that the
+  kernel form generalizes; memory is O(n (d + starts)).
 - A DeflatedGram: the undeflated dense K_0 and the stacked training
   scores T of the components taken out, standing for K_j = K_0 - TT'.
-  Products are K_0 C - T (T'C), row patches delta @ K_0[rows] -
-  T (T[rows]' delta) and row sums K_0 1 - T (T'1), with K_0 1 and the
-  zero band K_0's, computed once. Deflation appends Kc / sqrt(s) to T,
-  so a fit holds K_0 and O(n (p + starts)) more, where the dense chain
-  builds a new n x n matrix per component.
+  Products are K_0 C - T (T'C) and row patches delta @ K_0[rows] -
+  T (T[rows]' delta), with the zero band K_0's, computed once.
+  Deflation appends Kc / sqrt(s) to T, so a fit holds K_0 and
+  O(n (p + starts)) more, where the dense chain builds a new n x n
+  matrix per component.
 
 Products through a factor or through T round differently from products
 with the dense deflated K, so a start may land on -c where the dense form
@@ -65,12 +69,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateComponent, InvalidData, NonConvergence
-from .kernel import (Dataset, GramMatrix, KernelForm, KernelSpec, _tile_rows, cross_gram,
-                     standardize_with)
+from .kernel import Dataset, KernelForm, KernelSpec, _tile_rows, cross_gram, standardize_with
 
 # Pass cap of every solve, a fault guard; reaching it raises NonConvergence.
 MAX_ITER = 1000
 DEFAULT_STARTS = 8
+
+
+def _is_integer(value) -> bool:
+    """The package's integer rule: a Python or numpy integer, not a float such as 2.0 or a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,9 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("start count", self.starts), ("seed", self.seed)):
+            if not _is_integer(value):
+                raise InvalidData(f"{name} {value} must be an integer")
         if self.starts < 1:
             raise InvalidData(f"start count {self.starts} must be at least 1")
         # numpy's SeedSequence takes non-negative entropy only.
@@ -88,19 +99,12 @@ class FitOptions:
             raise InvalidData(f"seed {self.seed} must be at least 0")
 
 
-def _operator(K: KernelForm | np.ndarray) -> KernelForm:
-    """K as a KernelForm: a bare n x n array is read as a GramMatrix of its entries."""
-    # A view, so the caller's own array is not made read-only.
-    return GramMatrix(entries=K.view()) if isinstance(K, np.ndarray) else K
-
-
-def _zero_band(K: KernelForm | np.ndarray) -> float:
+def _zero_band(K: KernelForm) -> float:
     """The zero band 1e-12 * n * max|K|."""
-    K = _operator(K)
     return 1e-12 * K.shape[0] * K.max_abs()
 
 
-def _quadratic_form(K: KernelForm | np.ndarray, c: np.ndarray, tol_zero: float,
+def _quadratic_form(K: KernelForm, c: np.ndarray, tol_zero: float,
                     message: str) -> tuple[np.ndarray, float]:
     """Kc and c'Kc; raises DegenerateComponent(message.format(c'Kc)) inside the zero band."""
     v = K @ c
@@ -181,11 +185,9 @@ def _require_count(p: int | None, available: int) -> int:
 
     The one component-count rule: every fit, eigen-solve and model score
     of both model kinds checks its count here, with one InvalidData message.
-    Python and numpy integers count; a float such as 2.0 or a boolean
-    does not.
+    The integer rule is _is_integer's.
     """
-    if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral)
-                          or not 1 <= p <= available):
+    if p is not None and not (_is_integer(p) and 1 <= p <= available):
         raise InvalidData(f"component count {p} not in [1, {available}]")
     return available if p is None else p
 
@@ -212,7 +214,7 @@ def validate_sign_vector(c, n: int | None = None) -> np.ndarray:
     return c
 
 
-def _iterate_batch(K: KernelForm | np.ndarray, C0: np.ndarray,
+def _iterate_batch(K: KernelForm, C0: np.ndarray,
                    tol_zero: float) -> list[tuple[np.ndarray, float, ConvergenceReport]]:
     """Run the fixed-point iteration on each column of C0 simultaneously.
 
@@ -239,7 +241,6 @@ def _iterate_batch(K: KernelForm | np.ndarray, C0: np.ndarray,
     and the shared recompute gemm. The first two go through ndarray.dot,
     the same BLAS calls as @ with less call overhead.
     """
-    K = _operator(K)
     n, m = C0.shape
     C = C0.copy()
     V = K @ C  # V[:, j] tracks K @ C[:, j] across passes
@@ -340,18 +341,6 @@ def fit_component(gram_matrix: KernelForm, c0) -> ComponentModel:
     return _solve(gram_matrix, c0[:, None], _zero_band(gram_matrix))
 
 
-def default_start(K: KernelForm | np.ndarray, tol_zero: float) -> np.ndarray:
-    """Deterministic starting sign vector: the sign of each row sum.
-
-    Points toward the dominant variance direction; row sums inside the
-    zero band map to +1.
-    """
-    rowsum = _operator(K).row_sums()
-    c = np.sign(rowsum)
-    c[np.abs(rowsum) <= tol_zero] = 1.0
-    return c
-
-
 def random_starts(n: int, count: int, seed) -> np.ndarray:
     """count seeded uniform +-1 columns; seed may be any default_rng seed."""
     rng = np.random.default_rng(seed)
@@ -375,10 +364,11 @@ def fit(gram_matrix: KernelForm, p: int,
         options: FitOptions | None = None) -> KpcaModel:
     """Extract p components by multi-start solves on the successively deflated kernel.
 
-    For each component the solver runs from the deterministic row-sum
-    start plus options.starts - 1 seeded random sign vectors (all columns
-    of one batched iteration), keeps the candidate with the largest
-    objective (ties: lowest start index), then deflates the kernel.
+    For each component the solver runs from the all-ones vector, whose
+    first pass gives the sign of the row sums, plus options.starts - 1
+    seeded random sign vectors (all columns of one batched iteration),
+    keeps the candidate with the largest objective (ties: lowest start
+    index), then deflates the kernel.
     Components are ordered by extraction order. Errors carry the index of
     the component that failed; a component past the kernel's rank raises
     DegenerateComponent. The model's training data is gram_matrix.data.
@@ -398,8 +388,7 @@ def fit(gram_matrix: KernelForm, p: int,
     for j in range(p):
         # Random starts come from a per-component stream keyed on (seed, j)
         # so component count does not reshuffle earlier components' starts.
-        C0 = np.column_stack([default_start(current, tol_zero),
-                              random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
+        C0 = np.column_stack([np.ones(n), random_starts(n, opts.starts - 1, seed=[opts.seed, j])])
 
         try:
             best = _solve(current, C0, tol_zero)

@@ -29,6 +29,12 @@ from .l1 import validate_sign_vector
 MAX_ENUMERATION_SIZE = 20
 
 
+def _require_enumerable(n: int) -> None:
+    """Raise InstanceTooLarge when n samples are past MAX_ENUMERATION_SIZE."""
+    if n > MAX_ENUMERATION_SIZE:
+        raise InstanceTooLarge(f"n={n} exceeds enumeration limit {MAX_ENUMERATION_SIZE}")
+
+
 @dataclass
 class OracleResult:
     """Best sign vector and objective over the full enumeration."""
@@ -73,8 +79,7 @@ def enumerate_sign_vectors(gram_matrix: GramMatrix) -> OracleResult:
     """
     K = gram_matrix.entries
     n = K.shape[0]
-    if n > MAX_ENUMERATION_SIZE:
-        raise InstanceTooLarge(f"n={n} exceeds enumeration limit {MAX_ENUMERATION_SIZE}")
+    _require_enumerable(n)
 
     b = (n - 1) // 2
     p = n - b

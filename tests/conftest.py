@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from l1kpca import Dataset, GramMatrix, KernelSpec, deflate, gram, standardize
+from l1kpca import (Dataset, DeflatedGram, GramMatrix, KernelSpec, LinearFactor, deflate, gram,
+                    standardize)
 from l1kpca import l1
 from l1kpca.l1 import ConvergenceReport, _quadratic_form, _zero_band, validate_sign_vector
 
@@ -36,22 +37,40 @@ def sign_update(gram_matrix, c):
     Entries inside the zero band (|(Kc)_i| <= 1e-12 * n * max|K|) keep
     their previous sign.
     """
-    K = gram_matrix.entries
-    c = validate_sign_vector(c, K.shape[0])
-    v = K @ c
-    return np.where(np.abs(v) <= _zero_band(K), c, np.sign(v))
+    c = validate_sign_vector(c, gram_matrix.n)
+    v = gram_matrix.entries @ c
+    return np.where(np.abs(v) <= _zero_band(gram_matrix), c, np.sign(v))
 
 
 def train_scores(gram_matrix, c):
     """Dense reference training scores Kc / sqrt(c'Kc); a c'Kc in the zero band is refused."""
-    K = gram_matrix.entries
-    c = validate_sign_vector(c, K.shape[0])
-    v, s = _quadratic_form(K, c, _zero_band(K), "objective {:.3e} is numerically zero")
+    c = validate_sign_vector(c, gram_matrix.n)
+    v, s = _quadratic_form(gram_matrix, c, _zero_band(gram_matrix),
+                           "objective {:.3e} is numerically zero")
     return v / np.sqrt(s)
 
 
-def iterate_batch_reference(K, C0, tol_zero, paths=None):
-    """Column-at-a-time reference of l1._iterate_batch, record for record.
+def row_sum_start(K, tol_zero):
+    """Reference of start 0's first pass: sgn(K 1), with row sums inside the zero band at +1.
+
+    This was fit's deterministic start before every component started from
+    the all-ones vector. K 1 is computed on each kernel form's own terms:
+    the dense entries' row sums, X (X'1) for a LinearFactor and
+    K_0 1 - T (T'1) for a DeflatedGram.
+    """
+    if isinstance(K, LinearFactor):
+        rowsum = K.values @ K.values.sum(axis=0)
+    elif isinstance(K, DeflatedGram):
+        rowsum = K.base.entries.sum(axis=1) - K.scores @ K.scores.sum(axis=0)
+    else:
+        rowsum = K.entries.sum(axis=1)
+    c = np.sign(rowsum)
+    c[np.abs(rowsum) <= tol_zero] = 1.0
+    return c
+
+
+def iterate_batch_reference(gram_matrix, C0, tol_zero, paths=None):
+    """Column-at-a-time reference of l1._iterate_batch on a GramMatrix, record for record.
 
     Each pass visits the active columns in order and works on one column
     at a time: |Kc|, the objective c'Kc, the norm and rate entries, the
@@ -60,6 +79,7 @@ def iterate_batch_reference(K, C0, tol_zero, paths=None):
     collections.Counter passed as paths counts the "patch" and
     "recompute" column-passes.
     """
+    K = gram_matrix.entries
     n, m = C0.shape
     C = C0.copy()
     V = K @ C

@@ -667,6 +667,17 @@ def test_exit_code_3_on_data_errors(tmp_path, capsys):
     assert code == 3  # n=30 exceeds the enumeration limit
 
 
+def test_oracle_refuses_past_its_cap_before_any_gram_is_built(tmp_path, capsys, monkeypatch):
+    from l1kpca import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "gram", lambda *args: calls.append(args))
+    noisy, _ = make_synth_files(tmp_path, capsys, n=21)
+    code, out, err = run_cli(capsys, "oracle", "--data", str(noisy), "--label-column", "4")
+    assert (code, out, err) == (3, "", "l1kpca: n=21 exceeds enumeration limit 20\n")
+    assert calls == []
+
+
 def test_exit_code_4_on_numerical_errors(tmp_path, capsys):
     # rank-1 data cannot produce 3 components
     rng = np.random.default_rng(1)

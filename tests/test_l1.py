@@ -11,15 +11,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (deflation_chain, instance_rows, iterate_batch_reference, make_instance,
-                      raw_dataset, raw_gram, sign_update, train_scores)
+                      raw_dataset, raw_gram, row_sum_start, sign_update, train_scores)
 from l1kpca import (DegenerateComponent, FitOptions, GramMatrix, InvalidData, KernelSpec,
                     NonConvergence, build_detector, cross_gram, deflate, fit, fit_component,
                     gram, l2_fit, standardize, standardize_with, total_explained_variation,
                     transform)
 from l1kpca import kernel, l1, l2
 from l1kpca.kernel import DeflatedGram, LinearFactor
-from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, default_start,
-                       _iterate_batch, _zero_band, random_starts, validate_sign_vector)
+from l1kpca.l1 import (ComponentModel, ConvergenceReport, KpcaModel, chain_scores, _iterate_batch,
+                       _zero_band, random_starts, validate_sign_vector)
 from l1kpca.l2 import EigenModel
 
 
@@ -149,17 +149,17 @@ def assert_records_identical(got, want):
 
 
 def batch_instance(family, n, d, dup, width, degree, negated, starts, seed):
-    """A Gram with dup duplicated rows and starts columns: the row-sum start
+    """A Gram with dup duplicated rows and starts columns: fit's all-ones start
     with its first `negated` entries flipped, then seeded random starts."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     dup = min(dup, n // 2)
     X[:dup] = X[n - dup:]
     spec = KernelSpec(family, sigma=width * d, degree=degree, offset=1.0)
-    K = gram(spec, kernel.standardize(X)).entries
+    K = gram(spec, kernel.standardize(X))
     tol_zero = _zero_band(K)
-    c0 = default_start(K, tol_zero)
-    c0[:negated] *= -1.0
+    c0 = np.ones(n)
+    c0[:negated] = -1.0
     return K, np.column_stack([c0, random_starts(n, starts - 1, seed)]), tol_zero
 
 
@@ -186,7 +186,7 @@ def test_batch_instances_reach_every_path_of_the_iteration():
     records = iterate_batch_reference(K, C0, tol_zero, paths)
     assert paths["patch"] > 0 and paths["recompute"] > 0
     assert_records_identical(_iterate_batch(K, C0, tol_zero), records)
-    # Standardized linear data: the row-sum start is all ones and K @ 1 is zero.
+    # Standardized linear data: K @ 1 is zero, so the all-ones start stays in the band.
     K, C0, tol_zero = batch_instance("linear", 30, 3, 0, 1.0, 1, 0, 3, seed=2)
     records = iterate_batch_reference(K, C0, tol_zero)
     assert records[0][2].zero_band_hits == 30
@@ -195,6 +195,50 @@ def test_batch_instances_reach_every_path_of_the_iteration():
         records = iterate_batch_reference(K, C0, tol_zero)
         assert [r.terminated_by for _, _, r in records].count("max_iter") > 0
         assert_records_identical(_iterate_batch(K, C0, tol_zero), records)
+
+
+def start_instance(family, form, n, d, shift, degree, deflations, seed):
+    """A kernel form of shifted rows, deflated by up to `deflations` seeded sign vectors,
+    and the zero band of the undeflated form, the band fit uses for every component."""
+    X = np.random.default_rng(seed).standard_normal((n, d)) + shift
+    spec = KernelSpec(family, sigma=float(d), degree=degree, offset=1.0 if degree % 2 else 0.0)
+    data = raw_dataset(X)
+    K = (LinearFactor(values=data.values, spec=spec, data=data) if form == "factor"
+         else gram(spec, data))
+    K = DeflatedGram(K) if form == "implicit" else K
+    tol_zero = _zero_band(K)
+    for c in random_starts(n, deflations, seed).T:
+        try:
+            K = deflate(K, c)
+        except DegenerateComponent:  # the kernel's rank is used up
+            break
+    return K, tol_zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(family=st.sampled_from(["linear", "gaussian", "polynomial"]),
+       form=st.sampled_from(["dense", "factor", "implicit"]),
+       n=st.integers(2, 60), d=st.integers(1, 6), shift=st.sampled_from([0.0, 0.3, 2.0]),
+       degree=st.integers(1, 3), deflations=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_one_pass_from_all_ones_is_the_row_sum_start(family, form, n, d, shift, degree,
+                                                     deflations, seed):
+    # A linear factor stands for a linear Gram only.
+    K, tol_zero = start_instance("linear" if form == "factor" else family, form, n, d, shift,
+                                 degree, deflations, seed)
+    ones, reference = np.ones((n, 1)), row_sum_start(K, tol_zero)
+    with mock.patch.object(l1, "MAX_ITER", 1):
+        [(first, _, _)] = _iterate_batch(K, ones, tol_zero)
+    assert bits(first) == bits(reference)
+
+    [(c, objective, report)] = _iterate_batch(K, ones, tol_zero)
+    [(c_ref, objective_ref, report_ref)] = _iterate_batch(K, reference[:, None], tol_zero)
+    assert bits(c) == bits(c_ref)
+    assert report.terminated_by == report_ref.terminated_by == "sign_fixed"
+    if np.all(reference == 1.0):
+        assert_records_identical([(c, objective, report)], [(c_ref, objective_ref, report_ref)])
+    else:
+        # The extra pass is the one from the all-ones vector to the reference start.
+        assert report.iterations == report_ref.iterations + 1
 
 
 # ------------------------------------------------------------------- deflate
@@ -301,8 +345,7 @@ def dense_reference_fit(K, p, opts):
     """The dense path: each start solved alone, K deflated by deflate()."""
     components = []
     for j in range(p):
-        tol_zero = l1._zero_band(K.entries)
-        starts = np.column_stack([default_start(K.entries, tol_zero),
+        starts = np.column_stack([np.ones(K.n),
                                   random_starts(K.n, opts.starts - 1, seed=[opts.seed, j])])
         candidates = []
         for c0 in starts.T:
@@ -343,7 +386,7 @@ def test_multistart_fit_is_consistent_with_dense_deflation_chain(family):
 
 def assert_every_component_is_a_fixed_point(K, model):
     """Each component stopped on sign_fixed and c_i (K_j c)_i >= -band on its deflated K_j."""
-    tol_zero = l1._zero_band(K.entries)
+    tol_zero = l1._zero_band(K)
     for Kj, comp in zip(deflation_chain(K, model), model.components):
         assert comp.report.terminated_by == "sign_fixed"
         c = comp.sign_vector
@@ -416,8 +459,21 @@ def test_fit_options_reject_a_negative_seed(seed):
         FitOptions(seed=seed)
 
 
+@pytest.mark.parametrize("field, value", [("starts", 2.5), ("starts", True), ("seed", 1.5),
+                                          ("seed", True)])
+def test_fit_options_refuse_a_start_count_or_seed_that_is_not_an_integer(field, value):
+    name = {"starts": "start count", "seed": "seed"}[field]
+    with pytest.raises(InvalidData, match=rf"^{name} {value} must be an integer$"):
+        FitOptions(**{field: value})
+
+
+def test_fit_options_take_numpy_integers(two_point_gram):
+    options = FitOptions(starts=np.int64(3), seed=np.int64(4))
+    assert fit(two_point_gram, 1, options).components[0].objective == 5.0
+
+
 def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component_0():
-    # The row-sum start is all ones and K @ 1 vanishes on standardized columns.
+    # K @ 1 vanishes on standardized columns, so the all-ones start is fixed in the zero band.
     _, K = make_instance(42, n=12, d=3)
     with pytest.raises(DegenerateComponent,
                        match=r"^component 0: objective \S+ is numerically zero at termination$"):
@@ -425,7 +481,7 @@ def test_fit_single_start_on_standardized_linear_data_is_degenerate_at_component
 
 
 def test_fit_nonconvergence_carries_component_index_and_report(monkeypatch):
-    # An odd polynomial kernel: the row-sum start is not a fixed point.
+    # An odd polynomial kernel: the all-ones start is not a fixed point.
     data, _ = make_instance(7, n=40, d=6)
     K = gram(KernelSpec("polynomial", degree=3, offset=0.0), data)
     monkeypatch.setattr(l1, "MAX_ITER", 1)
@@ -855,7 +911,7 @@ def test_factor_fit_matches_the_dense_fit_up_to_sign(n, d, extra, outliers, scal
     if dense is None:
         return
     assert model.train_ref is factor.data and model.spec == K.spec
-    tol_zero, scale = _zero_band(K.entries), dense.components[0].objective
+    tol_zero, scale = _zero_band(K), dense.components[0].objective
     for comp, ref in zip(model.components, dense.components):
         # An entry whose (K_j c)_i is inside the zero band keeps the sign it
         # had: a row that deflation emptied weighs nothing in K_j, so either
@@ -947,7 +1003,7 @@ def test_deflated_gram_matches_the_dense_deflation_chain(n, d, p, family, sigma_
     if dense is None:
         return
     assert model.train_ref is K.data and model.spec == K.spec
-    tol_zero, lead = _zero_band(K.entries), dense.components[0].objective
+    tol_zero, lead = _zero_band(K), dense.components[0].objective
 
     # Every operation the solver asks of K_j, on the dense chain's own sign vectors.
     rng = np.random.default_rng(seed)
@@ -961,7 +1017,8 @@ def test_deflated_gram_matches_the_dense_deflation_chain(n, d, p, family, sigma_
         npt.assert_allclose(implicit @ C, entries @ C, rtol=0, atol=atol)
         npt.assert_allclose(implicit.row_patch(delta, rows), delta @ entries[rows],
                             rtol=0, atol=atol)
-        npt.assert_allclose(implicit.row_sums(), entries.sum(axis=1), rtol=0, atol=atol)
+        # Start 0's first product, K_j 1: the row sums of the dense K_j.
+        npt.assert_allclose(implicit @ np.ones(n), entries.sum(axis=1), rtol=0, atol=atol)
         if j + 1 < p:
             implicit = deflate(implicit, dense.components[j].sign_vector)
 
